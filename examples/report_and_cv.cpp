@@ -21,7 +21,7 @@ int main() {
   mopt.k = 3;
   mopt.min_support = std::max<uint32_t>(
       1, static_cast<uint32_t>(0.7 * pipeline.train.ClassCounts()[1]));
-  mopt.hybrid_threads = 0;  // hardware default
+  mopt.threads = 0;  // hardware default
   TopkResult mined = MineTopkRGSHybrid(pipeline.train, 1, mopt);
 
   // 2. Rule report: significance, lift, chi-square and coverage per group.

@@ -147,7 +147,15 @@ Status RunMineCommand(const std::vector<std::string>& args) {
   TOPKRGS_RETURN_NOT_OK(flags.CheckKnown({"data", "algorithm", "consequent",
                                           "minsup", "minsup-frac", "k",
                                           "minconf", "budget", "max-print",
-                                          "threads", "warmup-nodes"}));
+                                          "threads"}));
+  const std::string algorithm = flags.GetString("algorithm", "topk");
+  // Only the hybrid miner runs workers; every other search is serial, so
+  // a --threads it would silently ignore is an error instead.
+  if (flags.Has("threads") && algorithm != "hybrid") {
+    return Status::InvalidArgument(
+        "--threads applies to --algorithm hybrid only; --algorithm " +
+        algorithm + " mines on one thread");
+  }
 
   auto data_path = flags.GetRequired("data");
   if (!data_path.ok()) return data_path.status();
@@ -184,12 +192,6 @@ Status RunMineCommand(const std::vector<std::string>& args) {
   if (threads.value() < 0) {
     return Status::InvalidArgument("--threads must be >= 0 (0 = all cores)");
   }
-  auto warmup_nodes = flags.GetInt("warmup-nodes", -1);
-  if (!warmup_nodes.ok()) return warmup_nodes.status();
-  if (warmup_nodes.value() < -1) {
-    return Status::InvalidArgument(
-        "--warmup-nodes must be >= -1 (-1 = auto, 0 = off)");
-  }
 
   std::printf("dataset: %u rows, %u items (%u genes selected); class %d has "
               "%u rows; minsup %u\n",
@@ -197,7 +199,6 @@ Status RunMineCommand(const std::vector<std::string>& args) {
               pipeline.discretization.num_selected_genes(),
               int{cls}, class_rows, minsup.value());
 
-  const std::string algorithm = flags.GetString("algorithm", "topk");
   std::vector<RuleGroupPtr> to_print;
   MinerStats stats;
   if (algorithm == "topk" || algorithm == "hybrid") {
@@ -210,7 +211,6 @@ Status RunMineCommand(const std::vector<std::string>& args) {
     auto threads32 = FlagU32(threads.value(), 0, "--threads");
     if (!threads32.ok()) return threads32.status();
     opt.threads = threads32.value();
-    opt.warmup_nodes = warmup_nodes.value();
     const TopkResult result = algorithm == "topk"
                                   ? MineTopkRGS(data, cls, opt)
                                   : MineTopkRGSHybrid(data, cls, opt);
@@ -561,7 +561,7 @@ Status RunShardMineCommand(const std::vector<std::string>& args) {
   const FlagParser& flags = flags_or.value();
   TOPKRGS_RETURN_NOT_OK(flags.CheckKnown(
       {"data", "consequent", "minsup", "minsup-frac", "k", "memory-budget",
-       "shards", "threads", "budget", "max-print"}));
+       "shards", "budget", "max-print"}));
 
   auto data_path = flags.GetRequired("data");
   if (!data_path.ok()) return data_path.status();
@@ -614,11 +614,6 @@ Status RunShardMineCommand(const std::vector<std::string>& args) {
   if (shards.value() < 0) {
     return Status::InvalidArgument("--shards must be >= 0 (0 = auto)");
   }
-  auto threads = flags.GetInt("threads", 1);
-  if (!threads.ok()) return threads.status();
-  if (threads.value() < 0) {
-    return Status::InvalidArgument("--threads must be >= 0 (0 = all cores)");
-  }
   auto budget = flags.GetDouble("budget", 30.0);
   if (!budget.ok()) return budget.status();
   auto max_print = flags.GetInt("max-print", 10);
@@ -641,9 +636,6 @@ Status RunShardMineCommand(const std::vector<std::string>& args) {
   if (!shards32.ok()) return shards32.status();
   plan_opt.shard_count = shards32.value();
   ShardMineOptions mine_opt;
-  auto threads32 = FlagU32(threads.value(), 0, "--threads");
-  if (!threads32.ok()) return threads32.status();
-  mine_opt.threads = threads32.value();
   mine_opt.deadline = Deadline(budget.value());
 
   ShardPlan plan;

@@ -31,11 +31,10 @@ namespace topkrgs {
 ///   --minconf F                  FARMER confidence threshold (default 0.9)
 ///   --budget SECONDS             wall-clock budget (default 30)
 ///   --max-print N                rule groups to print (default 10)
-///   --threads N                  topk/hybrid worker threads; 0 = all cores
-///   --warmup-nodes N             serial nodes mined before workers start;
-///                                -1 = auto (scales with k), 0 = off
+///   --threads N                  hybrid worker threads; 0 = all cores
 ///                                (default 1; results are thread-count
-///                                invariant)
+///                                invariant). Any other algorithm mines on
+///                                one thread and rejects the flag.
 [[nodiscard]] Status RunMineCommand(const std::vector<std::string>& args);
 
 /// topkrgs-classify: train RCBT or CBA on a training TSV, evaluate on a
@@ -79,7 +78,6 @@ namespace topkrgs {
 ///   --memory-budget BYTES        working-set budget; 0 = unlimited; the
 ///                                planner errors when infeasible
 ///   --shards N                   shard count; 0 = auto from the budget
-///   --threads N                  workers per shard; 0 = all cores
 ///   --budget SECONDS             per-shard wall-clock budget (default 30)
 ///   --max-print N                rule groups to print (default 10)
 [[nodiscard]] Status RunShardMineCommand(const std::vector<std::string>& args);

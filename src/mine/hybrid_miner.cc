@@ -85,17 +85,13 @@ TopkResult MineTopkRGSHybrid(const DiscreteDataset& data, ClassLabel consequent,
       const DiscreteDataset partition = data.SelectRows(out.row_ids);
       TopkMinerOptions part_options = options;
       part_options.min_support = minsup;
-      // Partitions are themselves the unit of parallelism here; nesting the
-      // row-enumeration pool inside each would oversubscribe the machine.
-      part_options.threads = 1;
-      part_options.hybrid_threads = TopkMinerOptions::kThreadsUnset;
       out.result = MineTopkRGS(partition, consequent, part_options);
       if (out.result.stats.timed_out) timed_out.store(true);
     }
   };
 
   uint32_t num_threads = ResolveThreadCount(
-      options.RequestedThreads(), std::thread::hardware_concurrency());
+      options.threads, std::thread::hardware_concurrency());
   num_threads = std::min<uint32_t>(
       num_threads, std::max<size_t>(1, items.size()));
   if (num_threads <= 1) {

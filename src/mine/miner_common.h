@@ -30,11 +30,9 @@ struct MinerStats {
   uint64_t groups_emitted = 0;
   uint64_t pruned_backward = 0;
   uint64_t pruned_bounds = 0;
-  // Work-stealing scheduler counters (zero for serial miners): subtree
-  // tasks run, shed mid-task by dynamic splits, and claimed from another
-  // worker's deque. tasks_executed can exceed the first-level task count
-  // when splitting is active.
-  uint64_t tasks_executed = 0;
+  // Subtree tasks split off and stolen by a parallel scheduler. Every
+  // miner runs one search on the calling thread, so both stay 0; the
+  // fields remain for reports that print them.
   uint64_t tasks_spawned = 0;
   uint64_t tasks_stolen = 0;
   double seconds = 0.0;

@@ -114,9 +114,9 @@ class PrefixTree {
   };
 
  public:
-  /// Buffer recycler for tree construction. Not thread-safe: the parallel
-  /// miner gives each worker its own arena, so every conditional tree built
-  /// and destroyed on a worker reuses that worker's buffers.
+  /// Buffer recycler for tree construction. Not thread-safe: each search
+  /// owns its arena, so every conditional tree it builds and destroys
+  /// reuses the same buffers.
   class Arena {
    public:
     Arena() = default;

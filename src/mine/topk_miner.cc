@@ -1,24 +1,18 @@
 #include "mine/topk_miner.h"
 
 #include <algorithm>
-#include <array>
-#include <atomic>
-#include <chrono>
 #include <deque>
 #include <map>
 #include <memory>
-#include <thread>
 #include <utility>
 
 #include "mine/projection.h"
+#include "mine/topk_list.h"
 #include "util/arena.h"
 #include "util/check.h"
 #include "util/hot_path.h"
-#include "util/lock_ranks.h"
 #include "util/rowset.h"
 #include "util/status.h"
-#include "util/thread_annotations.h"
-#include "util/work_steal_deque.h"
 
 namespace topkrgs {
 
@@ -35,260 +29,24 @@ struct GroupHandle {
 };
 using HandlePtr = std::shared_ptr<GroupHandle>;
 
-/// Canonical origin of a shared-list entry: where it falls in the replay
-/// (merge) order. Seeds replay first (origin 0), then the root node's
-/// emissions (origin 1); the remaining origin space [2, kOriginMax) is
-/// striped evenly across the first-level subtree tasks in canonical child
-/// order, so task i owns the half-open range [2 + i*stride, 2 + (i+1)*
-/// stride). A task emits with its range's base. Within one scheduling
-/// unit, wall-clock order IS canonical order (a single worker mines a
-/// unit sequentially), so comparing origins alone decides "canonically no
-/// later than": ranges are disjoint and ordered, and no two units ever
-/// share a base. Dynamic splitting subdivides the executing unit's
-/// REMAINING range among the shed children (canonical order again) and
-/// bumps the parent's own base past them — the parent's later emissions
-/// are canonically after the shed subtrees, and its earlier emissions
-/// kept the smaller pre-split base, so origin comparisons stay exact
-/// through any nesting of splits. A split is refused when the range has
-/// too few slots left (the natural fragmentation throttle). kOriginInf
-/// marks an origin too large to encode: entries carrying it can never
-/// justify suppressing a tie (conservative).
-constexpr uint32_t kOriginMax = 0xfffeu;
-constexpr uint32_t kOriginInf = 0xffffu;
-
-/// Significance threshold (sup, antecedent_sup) with the canonical origin
-/// attached: `origin` is the latest origin among the top-k entries tied
-/// with the k-th (the ones a tying candidate must beat in the replay's
-/// earlier-discovery tiebreak). (0, 0) is the dummy with confidence 0.
+/// Significance threshold (sup, antecedent_sup). (0, 0) is the dummy with
+/// confidence 0.
 struct Thresh {
   uint32_t sup = 0;
   uint32_t asup = 0;
-  uint32_t origin = kOriginInf;
 };
 
-/// Whether a candidate of significance (sup, asup) discovered at
-/// `candidate_origin` can never enter a final top-k list guarded by `cut`.
-/// Strictly worse always loses; an exact tie loses only to entries that
-/// canonically precede it — the replay resolves ties by discovery order,
-/// so a tie with a canonically-later entry must still be recorded.
-inline bool Dominated(uint32_t sup, uint32_t asup, const Thresh& cut,
-                      uint32_t candidate_origin) {
-  const int cmp = CompareSignificance(sup, asup, cut.sup, cut.asup);
-  if (cmp != 0) return cmp < 0;
-  return cut.origin <= candidate_origin;
+/// Whether a candidate of significance (sup, asup) can never enter a top-k
+/// list guarded by `cut`. Strictly worse always loses, and so does an exact
+/// tie: every entry already listed was discovered before the candidate,
+/// and InsertTopk keeps the earlier of two tied groups.
+inline bool Dominated(uint32_t sup, uint32_t asup, const Thresh& cut) {
+  return CompareSignificance(sup, asup, cut.sup, cut.asup) <= 0;
 }
 
-/// Shared pruning state of the parallel search: per-row candidate top-k
-/// lists guarded by striped locks, with each row's k-th-entry significance
-/// and tie origin mirrored into a packed atomic so the hot pruning reads
-/// (ComputeCut runs at every enumeration node) never take a lock. The
-/// dynamically raised minimum support lives here too.
-///
-/// This structure only steers pruning; the final per-row lists are rebuilt
-/// afterwards by a deterministic replay of the recorded emissions, so the
-/// timing-dependent insertion order here never leaks into results.
-class SharedTopk {
- public:
-  SharedTopk(uint32_t num_positions, uint32_t k, uint32_t initial_minsup)
-      : k_(k),
-        // Support counts must fit the 24-bit packed fields; beyond that
-        // (unheard of for row enumeration) thresholds stay at the dummy and
-        // top-k pruning degrades to none, which is slow but correct.
-        packable_(num_positions < (1u << 24)),
-        lists_(num_positions),
-        packed_(num_positions),
-        minsup_dyn_(initial_minsup) {
-    for (auto& p : packed_) p.store(0, std::memory_order_relaxed);
-  }
-
-  /// The significance + tie origin of the k-th entry of `pos`'s list;
-  /// (0, 0) while the list holds fewer than k groups (a real group always
-  /// has support >= 1, so the sentinel is unambiguous). Lock-free.
-  TKRGS_HOT Thresh KthOf(uint32_t pos) const {
-    const uint64_t packed = packed_[pos].load(std::memory_order_acquire);
-    return Thresh{static_cast<uint32_t>(packed >> 40),
-                  static_cast<uint32_t>((packed >> 16) & 0xffffffu),
-                  static_cast<uint32_t>(packed & 0xffffu)};
-  }
-
-  uint32_t minsup() const {
-    return minsup_dyn_.load(std::memory_order_acquire);
-  }
-
-  /// Epoch stamp of the shared pruning state: bumped whenever any k-th
-  /// significance is (re)published or minsup is raised — i.e. whenever a
-  /// recomputed cut COULD be tighter than one computed earlier. Workers
-  /// re-read this at every enumeration node and refresh their cut only on
-  /// a change, which makes threshold propagation eager (a bound tightened
-  /// by any worker prunes everyone at their next node) at the cost of one
-  /// relaxed-ordered atomic load per node instead of an O(rows) rescan.
-  uint64_t Epoch() const { return epoch_.load(std::memory_order_acquire); }
-
-  /// Monotone maximum update (CAS loop). The paper's dynamic-minsup
-  /// optimization (§4.1.1) is only sound because minsup never decreases
-  /// during the search; the CAS loop guarantees it structurally and the
-  /// DCHECK documents/verifies the contract in debug builds.
-  void RaiseMinsup(uint32_t value) {
-    uint32_t current = minsup_dyn_.load(std::memory_order_relaxed);
-    bool raised = false;
-    while (value > current) {
-      if (minsup_dyn_.compare_exchange_weak(current, value,
-                                            std::memory_order_acq_rel)) {
-        raised = true;
-        break;
-      }
-    }
-    if (raised) epoch_.fetch_add(1, std::memory_order_release);
-    TKRGS_DCHECK_GE(minsup_dyn_.load(std::memory_order_relaxed), value,
-                    "dynamic minsup must be monotone non-decreasing");
-  }
-
-  /// Offers a candidate group to `pos`'s pruning list. Deduplicates by
-  /// (support, antecedent support, row support) — a seed and its closure
-  /// must not occupy two slots, which would fake a tighter threshold than
-  /// the real list can have. Unlike the replay-side insert, a duplicate is
-  /// never "upgraded" here: handles stay immutable while workers run.
-  /// Duplicates keep the first arrival's origin, which is the canonically
-  /// smallest one: distinct enumeration nodes emit distinct closed rowsets
-  /// (and splitting only partitions nodes across tasks, never duplicates
-  /// one), so the only duplicates are a single-item seed and its closure —
-  /// and seeds insert with origin 0 before any worker starts.
-  TKRGS_HOT void Insert(uint32_t pos, const HandlePtr& handle,
-                        uint32_t origin) {
-    const RuleGroup& g = handle->group;
-    // lists_[pos] is guarded by stripes_[pos & (kStripes - 1)]. The
-    // index-dependent stripe mapping is beyond what GUARDED_BY can
-    // express, so the contract lives here (and every mutation below runs
-    // under this MutexLock — the annotated type keeps the acquisition
-    // visible to the analysis even without a field annotation).
-    MutexLock lock(stripes_[pos & (kStripes - 1)]);
-    auto& list = lists_[pos];
-    for (const Entry& existing : list) {
-      const RuleGroup& e = existing.handle->group;
-      if (e.support == g.support &&
-          e.antecedent_support == g.antecedent_support &&
-          e.row_support == g.row_support) {
-        return;
-      }
-    }
-    const uint32_t encoded = origin >= kOriginMax ? kOriginInf : origin;
-    if (list.size() >= k_) {
-      const RuleGroup& kth = list.back().handle->group;
-      const int cmp = CompareSignificance(g.support, g.antecedent_support,
-                                          kth.support, kth.antecedent_support);
-      if (cmp < 0) return;
-      if (cmp == 0) {
-        // A tie with the k-th entry can't deepen the list, but a
-        // canonically EARLIER tie can sharpen the published tie-origin
-        // (workers run out of canonical order, so late arrivals may
-        // precede what's stored): replace the latest-origin tied entry.
-        size_t worst = list.size();
-        for (size_t i = list.size(); i-- > 0;) {
-          const RuleGroup& e = list[i].handle->group;
-          if (CompareSignificance(e.support, e.antecedent_support, kth.support,
-                                  kth.antecedent_support) != 0) {
-            break;
-          }
-          if (worst == list.size() || list[i].origin > list[worst].origin) {
-            worst = i;
-          }
-        }
-        if (worst == list.size() || list[worst].origin <= encoded) return;
-        list[worst] = Entry{handle, encoded};
-        PublishKth(pos);
-        return;
-      }
-    }
-    auto it = std::find_if(list.begin(), list.end(), [&](const Entry& e) {
-      return CompareSignificance(g.support, g.antecedent_support,
-                                 e.handle->group.support,
-                                 e.handle->group.antecedent_support) > 0;
-    });
-    // NOLINT(hotpath: k-bounded list under the stripe lock — the insert
-    // shifts at most k entries and the spill below caps growth)
-    list.insert(it, Entry{handle, encoded});
-    if (list.size() > k_) list.pop_back();
-    if (list.size() >= k_) PublishKth(pos);
-  }
-
- private:
-  static constexpr size_t kStripes = 64;  // power of two (masked indexing)
-
-  struct Entry {
-    HandlePtr handle;
-    uint32_t origin;  // encoded: >= kOriginMax is stored as kOriginInf,
-                      // because the clamp value is shared by several late
-                      // tasks and may never justify suppressing a tie
-  };
-
-  /// Publishes the k-th significance plus the latest origin among the
-  /// top-k entries tied with it: a tying candidate is beaten only if ALL
-  /// of them canonically precede it. Caller holds the stripe lock and has
-  /// ensured the list is full.
-  void PublishKth(uint32_t pos) {
-    if (!packable_) return;
-    const auto& list = lists_[pos];
-    TKRGS_DCHECK_SORTED(
-        list.begin(), list.end(),
-        [](const Entry& a, const Entry& b) {
-          return CompareSignificance(
-                     a.handle->group.support, a.handle->group.antecedent_support,
-                     b.handle->group.support,
-                     b.handle->group.antecedent_support) > 0;
-        },
-        "per-row pruning list must stay sorted by significance");
-    const RuleGroup& kth = list.back().handle->group;
-    uint32_t tie_origin = 0;
-    for (size_t i = list.size(); i-- > 0;) {
-      const RuleGroup& e = list[i].handle->group;
-      if (CompareSignificance(e.support, e.antecedent_support, kth.support,
-                              kth.antecedent_support) != 0) {
-        break;
-      }
-      tie_origin = std::max(tie_origin, list[i].origin);
-    }
-    // Top-k pruning (§4.1.1) is sound only if the published per-row
-    // threshold — and with it the dynamically derived minconf — is
-    // monotone non-decreasing: a threshold that ever dropped could have
-    // pruned a subtree that later became viable again.
-    TKRGS_DCHECK(
-        [&] {
-          const uint64_t prev = packed_[pos].load(std::memory_order_relaxed);
-          return CompareSignificance(
-                     kth.support, kth.antecedent_support,
-                     static_cast<uint32_t>(prev >> 40),
-                     static_cast<uint32_t>((prev >> 16) & 0xffffffu)) >= 0;
-        }(),
-        "published k-th significance (minconf source) must never decrease");
-    packed_[pos].store(
-        (static_cast<uint64_t>(kth.support) << 40) |
-            (static_cast<uint64_t>(kth.antecedent_support) << 16) | tie_origin,
-        std::memory_order_release);
-    epoch_.fetch_add(1, std::memory_order_release);
-  }
-
-  /// Stripe locks carry the leaf rank from the central table: nothing may
-  /// be acquired under one, and (same-rank rule) no two stripes may ever
-  /// be held together — both checked at runtime in debug builds.
-  template <size_t... I>
-  static std::array<Mutex, sizeof...(I)> MakeStripes(
-      std::index_sequence<I...>) {
-    return {((void)I, Mutex(lock_rank::kMinerTopkStripe,
-                            "SharedTopk::stripes_"))...};
-  }
-
-  const uint32_t k_;
-  const bool packable_;
-  /// lists_[pos] is guarded by stripes_[pos & (kStripes - 1)] — an
-  /// index-computed stripe GUARDED_BY cannot name (see Insert).
-  std::vector<std::vector<Entry>> lists_;
-  std::vector<std::atomic<uint64_t>> packed_;
-  std::atomic<uint64_t> epoch_{0};
-  std::atomic<uint32_t> minsup_dyn_;
-  mutable std::array<Mutex, kStripes> stripes_ =
-      MakeStripes(std::make_index_sequence<kStripes>{});
-};
-
+/// Algorithm MineTopkRGS (Figure 3): one depth-first row enumeration on
+/// the calling thread that updates the per-row top-k lists in place. The
+/// pruning thresholds are read straight from the lists' k-th entries.
 class TopkSearch {
  public:
   TopkSearch(const DiscreteDataset& data, ClassLabel consequent,
@@ -301,155 +59,37 @@ class TopkSearch {
   TopkResult Run();
 
  private:
-  /// One recorded rule-group emission: the handle plus the positive row
-  /// positions it covers, in discovery (x-stack) order. Emissions are
-  /// recorded per subtree task and replayed in canonical order after the
-  /// workers join, which is what makes the parallel search bit-for-bit
-  /// deterministic.
-  struct Emission {
-    HandlePtr handle;
-    std::vector<uint32_t> covered;
-  };
-
-  struct SubtreeTask;
-
   /// Sentinel for "no epoch observed yet" (forces the first refresh).
   static constexpr uint64_t kEpochNever = ~0ull;
 
-  /// Per-worker DFS state: the enumeration stack, scratch-buffer pool and
-  /// prefix-tree arena persist across the tasks a worker drains, so a
-  /// steady-state worker stops allocating. chain_pos/chain_live mirror the
-  /// Child() calls from the root to the current node — the recipe a
-  /// dynamic split snapshots so a thief can rebuild the projection.
-  struct WorkerState {
-    std::vector<uint32_t> x_stack;
-    std::vector<uint8_t> in_x;
-    uint32_t xp = 0;
-    uint32_t xn = 0;
-    uint32_t origin = kOriginMax;        // current origin-range base
-    uint32_t origin_limit = kOriginMax;  // exclusive end of the free range
-    uint64_t minsup_epoch = kEpochNever;  // epoch of the last minsup scan
-    uint32_t worker_index = 0;
-    SubtreeTask* task = nullptr;   // the task currently executing
-    std::vector<uint32_t> chain_pos;
-    std::vector<const std::vector<uint32_t>*> chain_live;
-    MinerStats stats;
-    std::vector<Emission>* sink = nullptr;
-    VectorPool<uint32_t> scratch;
-    PrefixTree::Arena tree_arena;
-    // One RowSet per enumeration depth, reused across every sibling at
-    // that depth: IntersectAdaptiveInto refills the slot's id array or
-    // bitmap in place, so the per-node intersection stops allocating once
-    // each depth has been visited once. A deque keeps references stable
-    // while deeper slots append.
-    std::deque<RowSet> rowset_scratch;
-  };
-
-  /// A frozen enumeration node whose children are (or became, through a
-  /// dynamic split) subtree tasks: everything a worker needs to resume any
-  /// child — the DFS stack, I(X), the surviving candidates — plus the
-  /// Child()-call chain (branch position + parent candidate list per
-  /// level) needed to rebuild the node's projection from the root on a
-  /// stealing worker. Immutable once published; tasks share it through a
-  /// shared_ptr.
-  struct NodeCtx {
-    std::vector<uint32_t> x_stack;    // full stack at the node (incl. absorbed)
-    uint32_t xp = 0;
-    uint32_t xn = 0;
-    RowSet items;                     // I(X) at the node (density-adaptive)
-    std::vector<uint32_t> live;       // surviving candidate positions
-    std::vector<uint32_t> live_freq;  // their item counts (child items_count)
-    std::vector<uint32_t> suffix_pos; // positive candidates after live[i]
-    std::vector<uint32_t> chain_pos;  // branch positions, root -> this node
-    std::vector<std::vector<uint32_t>> chain_live;  // parent live list of each
-  };
-
-  /// One subtree of the enumeration tree: the unit of scheduled work —
-  /// child `child` of the node `ctx` describes. First-level tasks are
-  /// created up front; further tasks appear when a running task sheds the
-  /// unvisited children of its current node to starving workers (dynamic
-  /// split). The spawn markers record WHERE in the parent's emission
-  /// stream each split happened, so the replay can stitch the spawned
-  /// subtrees back into canonical DFS order.
-  struct SubtreeTask {
-    std::shared_ptr<const NodeCtx> ctx;
-    uint32_t child = 0;            // index into ctx->live
-    uint32_t origin_base = 0;      // this unit's origin range [base, limit):
-    uint32_t origin_limit = 0;     // emits with base, splits carve the rest
-    std::vector<Emission> emissions;
-    // spawned[s] replays after emissions[0 .. spawn_at[s]) — i.e. exactly
-    // where its subtree sits in this task's DFS order. spawn_at is
-    // non-decreasing; batches from one split share one value.
-    std::vector<std::unique_ptr<SubtreeTask>> spawned;
-    std::vector<size_t> spawn_at;
-  };
-
   template <typename Proj>
-  TKRGS_HOT void Visit(WorkerState& ws, const Proj& proj,
-                       const RowSet& items, uint32_t items_count,
-                       uint32_t branch_pos, bool closed_on_left);
-
-  /// Processes the root node serially (seeding the shared thresholds with
-  /// its high-support group), turns every first-level subtree into a
-  /// SubtreeTask, and drains the tasks through the work-stealing scheduler.
-  /// One worker degenerates to the serial search: tasks are claimed in
-  /// canonical order and nothing ever starves, so nothing splits.
-  template <typename Proj>
-  void MineRoot(const Proj& root, const RowSet& items, uint32_t items_count);
-
-  /// Runs one task: checks, builds and descends into the subtree rooted at
-  /// ctx->live[task.child]. `node_proj` is the (worker-cached) projection
-  /// of the task's parent node.
-  template <typename Proj>
-  TKRGS_HOT void RunTask(WorkerState& ws, const Proj& node_proj,
-                         SubtreeTask& task);
-
-  /// Rebinds a worker's DFS state to another task context.
-  void SwitchCtx(WorkerState& ws, const NodeCtx& ctx) const;
-
-  /// Whether the current node may shed its `remaining` unvisited children
-  /// as tasks: only when another worker is starving, this worker has
-  /// nothing queued itself, the spawn chain is still shallow enough that
-  /// snapshotting the Child()-call chain stays cheap, and the unit's
-  /// origin range has a slot for every child plus the continuing parent
-  /// (ranges shrink geometrically with split nesting, throttling
-  /// fragmentation before it can erode tie pruning or drown the run in
-  /// chain rebuilds).
-  bool CanSpawn(const WorkerState& ws, size_t remaining) const;
-
-  /// Sheds children first_child..live.size()-1 of the current node as
-  /// tasks onto this worker's deque (a starving worker steals them FIFO =
-  /// canonical-first) and records the spawn marker. The caller abandons
-  /// its child loop afterwards.
-  void SpawnRemaining(WorkerState& ws, const RowSet& items,
-                      const std::vector<uint32_t>& live,
-                      const std::vector<uint32_t>& live_freq,
-                      const std::vector<uint32_t>& suffix_pos,
-                      size_t first_child);
+  TKRGS_HOT void Visit(const Proj& proj, const RowSet& items,
+                       uint32_t items_count, size_t depth,
+                       bool closed_on_left);
 
   void SeedSingleItems(const Bitset& frequent_items);
-  TKRGS_HOT void MaybeRaiseMinsup(WorkerState& ws);
+  /// Offers `handle` to `pos`'s list; bumps the epoch when the list is
+  /// full and changed, i.e. when its k-th entry may have moved.
+  void Insert(uint32_t pos, const HandlePtr& handle);
+  /// The significance of the k-th entry of `pos`'s list; (0, 0) while the
+  /// list holds fewer than k groups (a real group always has support >=
+  /// 1, so the sentinel is unambiguous).
+  TKRGS_HOT Thresh KthOf(uint32_t pos) const;
+  TKRGS_HOT void MaybeRaiseMinsup();
   TKRGS_HOT Thresh ComputeCut(const std::vector<uint32_t>& x_stack,
                               const std::vector<uint32_t>& candidates) const;
   TKRGS_HOT bool Hopeless(uint32_t best_sup, uint32_t min_neg,
-                          const Thresh& cut, uint32_t origin) const;
-  TKRGS_HOT void EmitAt(WorkerState& ws, const RowSet& items,
-                        const Thresh& cut);
-  void ReplayInsert(uint32_t pos, const HandlePtr& handle);
-  void ReplayEmissions(const std::vector<Emission>& emissions);
-  void ReplayTask(const SubtreeTask& task);
+                          const Thresh& cut) const;
+  TKRGS_HOT void EmitAt(const RowSet& items, const Thresh& cut);
   uint32_t FinalEffectiveMinsup() const;
   void Finalize(const Bitset& frequent_items, TopkResult* result);
-  void MergeStats(const MinerStats& s);
 
   bool IsPos(uint32_t pos) const { return pos_positive_[pos] != 0; }
 
   /// Sharded mining (DESIGN.md §14): does some row BEFORE this shard's
   /// suffix contain `items`? Such a row behaves exactly like an earlier
   /// in-dataset row under the backward check: the node duplicates a branch
-  /// an earlier shard enumerates. False in stand-alone mining. The hook
-  /// must be (and is — it only reads planner-owned prefix indexes plus
-  /// thread-local scratch) safe for concurrent workers.
+  /// an earlier shard enumerates. False in stand-alone mining.
   bool ContainedOutside(const RowSet& items) const {
     return hooks_ != nullptr && hooks_->contained_outside &&
            hooks_->contained_outside(items);
@@ -464,116 +104,48 @@ class TopkSearch {
   std::vector<uint32_t> position_of_;  // original row id -> position
   std::vector<uint8_t> pos_positive_;  // position -> is consequent-class
   std::vector<uint32_t> positive_positions_;
-  uint32_t np_ = 0;  // number of consequent-class rows
   uint32_t initial_minsup_ = 1;
-  uint32_t num_workers_ = 1;
 
-  std::unique_ptr<SharedTopk> shared_;
-
-  // Deterministic-merge state; only touched single-threaded (seeding
-  // before the workers start, replay after they join).
+  /// Per-row top-k lists, indexed by position.
   std::vector<std::vector<HandlePtr>> lists_;
-  std::vector<Emission> root_emissions_;
+  /// Dynamically raised minimum support (§4.1.1); never decreases.
+  uint32_t minsup_ = 1;
+  /// Bumped whenever a k-th entry may have changed or minsup is raised,
+  /// i.e. whenever a recomputed cut or minsup could differ from one
+  /// computed earlier. MaybeRaiseMinsup and the child loop's cut refresh
+  /// redo their O(rows) scans only on a change.
+  uint64_t epoch_ = 0;
+  uint64_t minsup_epoch_ = kEpochNever;  // epoch of the last minsup scan
 
-  // First-level tasks in canonical order; split-off descendants hang off
-  // their parents' `spawned` vectors. The task OBJECTS are written by
-  // whichever worker claims them; the containers are fixed before workers
-  // start and read again only after they join.
-  std::vector<std::unique_ptr<SubtreeTask>> tasks_;
-  std::shared_ptr<const NodeCtx> root_ctx_;
+  // DFS state: the enumeration stack X (including absorbed rows), its
+  // membership flags and its positive/negative row counts.
+  std::vector<uint32_t> x_stack_;
+  std::vector<uint8_t> in_x_;
+  uint32_t xp_ = 0;
+  uint32_t xn_ = 0;
+  VectorPool<uint32_t> scratch_;
+  PrefixTree::Arena tree_arena_;
+  // One RowSet per enumeration depth, reused across every sibling at that
+  // depth: IntersectAdaptiveInto refills the slot's id array or bitmap in
+  // place, so the per-node intersection stops allocating once each depth
+  // has been visited once. A deque keeps references stable while deeper
+  // slots append.
+  std::deque<RowSet> rowset_scratch_;
 
-  // Scheduler state. root_queue_ holds the unclaimed first-level tasks —
-  // everyone "steals" from its top, so claims are FIFO = canonical order,
-  // which keeps early workers on the subtrees a serial search would mine
-  // first (the speculation window stays ~num_workers wide). deques_[w] is
-  // worker w's own deque of split-off tasks: owner-LIFO, thief-FIFO.
-  std::unique_ptr<WorkStealDeque<SubtreeTask*>> root_queue_;
-  std::vector<std::unique_ptr<WorkStealDeque<SubtreeTask*>>> deques_;
-  std::atomic<size_t> pending_{0};    // claimed-or-queued, not yet finished
-  std::atomic<uint32_t> starving_{0}; // workers spinning for something to do
-
-  std::atomic<bool> stopped_{false};
-  std::atomic<bool> timed_out_{false};
+  bool stopped_ = false;
   MinerStats stats_;
 };
 
-void TopkSearch::MergeStats(const MinerStats& s) {
-  stats_.nodes_visited += s.nodes_visited;
-  stats_.groups_emitted += s.groups_emitted;
-  stats_.pruned_backward += s.pruned_backward;
-  stats_.pruned_bounds += s.pruned_bounds;
-  stats_.tasks_executed += s.tasks_executed;
-  stats_.tasks_spawned += s.tasks_spawned;
-  stats_.tasks_stolen += s.tasks_stolen;
-}
-
-/// Replay-side insert: exactly the paper's per-row list maintenance, run
-/// single-threaded over the canonical emission order. Dedups by antecedent
-/// support set, upgrading a provisional seed in place when the matching
-/// upper bound arrives (§4.1.1, first optimization); ties on significance
-/// keep the earlier-discovered group, matching CBA's "<" order.
-void TopkSearch::ReplayInsert(uint32_t pos, const HandlePtr& handle) {
+void TopkSearch::Insert(uint32_t pos, const HandlePtr& handle) {
   auto& list = lists_[pos];
-  const RuleGroup& g = handle->group;
-
-  for (auto& existing : list) {
-    RuleGroup& e = existing->group;
-    if (e.support == g.support && e.antecedent_support == g.antecedent_support &&
-        e.row_support == g.row_support) {
-      if (existing->provisional && !handle->provisional) {
-        e.antecedent = g.antecedent;
-        existing->provisional = false;
-      }
-      return;
-    }
-  }
-
-  if (list.size() >= opt_.k) {
-    const RuleGroup& kth = list.back()->group;
-    if (CompareSignificance(g.support, g.antecedent_support, kth.support,
-                            kth.antecedent_support) <= 0) {
-      return;  // not more significant than the current k-th entry
-    }
-  }
-  auto it = std::find_if(list.begin(), list.end(), [&](const HandlePtr& e) {
-    return CompareSignificance(g.support, g.antecedent_support,
-                               e->group.support,
-                               e->group.antecedent_support) > 0;
-  });
-  list.insert(it, handle);
-  if (list.size() > opt_.k) list.pop_back();
+  if (InsertTopk(list, handle, opt_.k) && list.size() >= opt_.k) ++epoch_;
 }
 
-void TopkSearch::ReplayEmissions(const std::vector<Emission>& emissions) {
-  for (const Emission& emission : emissions) {
-    for (uint32_t pos : emission.covered) {
-      ReplayInsert(pos, emission.handle);
-    }
-  }
-}
-
-/// Replays one task's emissions in canonical DFS order, recursing into
-/// split-off subtrees at their spawn markers: a split shed the unvisited
-/// children of a node and then the parent moved on, so everything the
-/// parent emitted after the marker is canonically AFTER the spawned
-/// subtrees — the spawned tasks replay at the marker, not at the end.
-void TopkSearch::ReplayTask(const SubtreeTask& task) {
-  size_t e = 0;
-  for (size_t s = 0; s < task.spawned.size(); ++s) {
-    TKRGS_DCHECK_LE(task.spawn_at[s], task.emissions.size(),
-                    "spawn marker beyond the recorded emission stream");
-    for (; e < task.spawn_at[s]; ++e) {
-      for (uint32_t pos : task.emissions[e].covered) {
-        ReplayInsert(pos, task.emissions[e].handle);
-      }
-    }
-    ReplayTask(*task.spawned[s]);
-  }
-  for (; e < task.emissions.size(); ++e) {
-    for (uint32_t pos : task.emissions[e].covered) {
-      ReplayInsert(pos, task.emissions[e].handle);
-    }
-  }
+Thresh TopkSearch::KthOf(uint32_t pos) const {
+  const auto& list = lists_[pos];
+  if (list.size() < opt_.k) return Thresh{};
+  const RuleGroup& kth = list.back()->group;
+  return Thresh{kth.support, kth.antecedent_support};
 }
 
 void TopkSearch::SeedSingleItems(const Bitset& frequent_items) {
@@ -599,25 +171,21 @@ void TopkSearch::SeedSingleItems(const Bitset& frequent_items) {
         static_cast<uint32_t>(rows.IntersectCount(class_rows));
     rows.ForEach([&](size_t row) {
       if (data_.label(static_cast<RowId>(row)) != consequent_) return;
-      const uint32_t pos = position_of_[row];
-      ReplayInsert(pos, handle);
-      shared_->Insert(pos, handle, /*origin=*/0);  // seeds replay first
+      Insert(position_of_[row], handle);
     });
   });
 }
 
-void TopkSearch::MaybeRaiseMinsup(WorkerState& ws) {
+void TopkSearch::MaybeRaiseMinsup() {
   if (!opt_.dynamic_min_support) return;
   // The O(np) scan below can only conclude anything new after some k-th
-  // entry was republished; the epoch stamp says whether one was. This is
-  // what makes calling it at EVERY node affordable — at an unchanged
-  // epoch it is one atomic load.
-  const uint64_t epoch = shared_->Epoch();
-  if (epoch == ws.minsup_epoch) return;
-  ws.minsup_epoch = epoch;
+  // entry moved; the epoch says whether one did. This is what makes
+  // calling it at EVERY node affordable.
+  if (epoch_ == minsup_epoch_) return;
+  minsup_epoch_ = epoch_;
   uint32_t lowest = UINT32_MAX;
   for (uint32_t pos : positive_positions_) {
-    const Thresh t = shared_->KthOf(pos);
+    const Thresh t = KthOf(pos);
     if (t.sup == 0 || t.sup != t.asup) {
       return;  // some list not full yet, or its k-th below 100% confidence
     }
@@ -625,35 +193,27 @@ void TopkSearch::MaybeRaiseMinsup(WorkerState& ws) {
   }
   // Every row already holds k groups of 100% confidence with support >=
   // lowest: anything with support < lowest is strictly less significant
-  // than every k-th entry. (The paper raises to lowest+1; that extra level
-  // would also prune exact significance ties, which the deterministic
-  // replay merge must still get to see — the reported effective minimum
-  // support is recomputed with the paper's rule in FinalEffectiveMinsup.)
-  if (lowest != UINT32_MAX && lowest > shared_->minsup()) {
-    shared_->RaiseMinsup(lowest);
+  // than every k-th entry. (The paper raises to lowest+1; the exact ties
+  // that extra level would prune are rejected by the top-k cut instead.
+  // The reported effective minimum support follows the paper's rule and
+  // is recomputed in FinalEffectiveMinsup.)
+  if (lowest != UINT32_MAX && lowest > minsup_) {
+    minsup_ = lowest;  // only ever raised: dynamic minsup is monotone
+    ++epoch_;
   }
 }
 
 Thresh TopkSearch::ComputeCut(const std::vector<uint32_t>& x_stack,
                               const std::vector<uint32_t>& candidates) const {
-  // Equation 1/2: the weakest k-th entry over the rows the subtree can still
-  // cover (Lemma 3.2: Xp ∪ Rp). The cut's origin must justify tie
-  // suppression against EVERY coverable row, so among the rows tied at the
-  // minimum significance it keeps the latest (largest) tie origin.
+  // Equation 1/2: the weakest k-th entry over the rows the subtree can
+  // still cover (Lemma 3.2: Xp ∪ Rp).
   bool first = true;
-  Thresh cut{0, 0, 0};
+  Thresh cut;
   auto consider = [&](uint32_t pos) {
-    const Thresh t = shared_->KthOf(pos);
-    if (first) {
+    const Thresh t = KthOf(pos);
+    if (first || CompareSignificance(t.sup, t.asup, cut.sup, cut.asup) < 0) {
       cut = t;
       first = false;
-      return;
-    }
-    const int cmp = CompareSignificance(t.sup, t.asup, cut.sup, cut.asup);
-    if (cmp < 0) {
-      cut = t;
-    } else if (cmp == 0 && t.origin > cut.origin) {
-      cut.origin = t.origin;
     }
   };
   for (uint32_t pos : x_stack) {
@@ -663,36 +223,27 @@ Thresh TopkSearch::ComputeCut(const std::vector<uint32_t>& x_stack,
     if (IsPos(pos)) consider(pos);
   }
   if (first) {
-    cut = Thresh{UINT32_MAX, UINT32_MAX, 0};  // no coverable row: prune all
+    cut = Thresh{UINT32_MAX, UINT32_MAX};  // no coverable row: prune all
   }
   return cut;
 }
 
 bool TopkSearch::Hopeless(uint32_t best_sup, uint32_t min_neg,
-                          const Thresh& cut, uint32_t origin) const {
-  if (best_sup < shared_->minsup()) return true;
+                          const Thresh& cut) const {
+  if (best_sup < minsup_) return true;
   if (!opt_.use_topk_pruning) return false;
   // Best achievable significance in the subtree: support best_sup with
-  // confidence best_sup / (best_sup + min_neg). Strictly-worse subtrees
-  // are always hopeless; a subtree that merely TIES the cut is hopeless
-  // only when every tied threshold entry canonically precedes anything
-  // this subtree could emit (cut.origin <= origin) — otherwise its tie
-  // might still win the replay merge's discovery-order tiebreak and must
-  // be explored. At one thread every prior entry precedes the current
-  // node, so this degenerates to the serial search's tie pruning exactly.
-  return Dominated(best_sup, best_sup + min_neg, cut, origin);
+  // confidence best_sup / (best_sup + min_neg).
+  return Dominated(best_sup, best_sup + min_neg, cut);
 }
 
-void TopkSearch::EmitAt(WorkerState& ws, const RowSet& items,
-                        const Thresh& cut) {
-  if (ws.xp < shared_->minsup()) return;
-  if (opt_.use_topk_pruning && Dominated(ws.xp, ws.xp + ws.xn, cut, ws.origin)) {
-    // Beaten on every coverable row by k recorded entries — strictly more
-    // significant ones, or exact ties that canonically precede this node
-    // (see Hopeless): it can never enter a final list, so it need not be
-    // recorded. (A suppressed emission may duplicate a provisional seed's
-    // support set; Finalize closes surviving provisionals itself, so the
-    // lost upgrade is harmless.)
+void TopkSearch::EmitAt(const RowSet& items, const Thresh& cut) {
+  if (xp_ < minsup_) return;
+  if (opt_.use_topk_pruning && Dominated(xp_, xp_ + xn_, cut)) {
+    // Beaten on every coverable row by k listed entries: it can never
+    // enter a list. (A suppressed emission may duplicate a provisional
+    // seed's support set; Finalize closes surviving provisionals itself,
+    // so the lost upgrade is harmless.)
     return;
   }
   // NOLINT(hotpath: one handle per emitted group; EmitAt runs only for
@@ -701,72 +252,58 @@ void TopkSearch::EmitAt(WorkerState& ws, const RowSet& items,
   // NOLINT(hotpath: materializes the emitted group's itemset once)
   handle->group.antecedent = items.ToBitset();
   handle->group.consequent = consequent_;
-  handle->group.support = ws.xp;
-  handle->group.antecedent_support = ws.xp + ws.xn;
+  handle->group.support = xp_;
+  handle->group.antecedent_support = xp_ + xn_;
   // NOLINT(hotpath: row-support bitmap built once per emitted group)
   Bitset rows(data_.num_rows());
-  for (uint32_t pos : ws.x_stack) rows.Set(order_[pos]);
+  for (uint32_t pos : x_stack_) rows.Set(order_[pos]);
   handle->group.row_support = std::move(rows);
-  ++ws.stats.groups_emitted;
-  Emission emission;
-  emission.handle = handle;
-  for (uint32_t pos : ws.x_stack) {
-    if (!IsPos(pos)) continue;
-    // NOLINT(hotpath: covered list bounded by |X|, once per emission)
-    emission.covered.push_back(pos);
-    // The recorded origin is the unit's current range base — exact under
-    // splitting because SpawnRemaining bumps it past every shed subtree
-    // (Insert itself degrades an unencodable >= kOriginMax base to
-    // kOriginInf, which never suppresses a tie).
-    shared_->Insert(pos, handle, ws.origin);
+  ++stats_.groups_emitted;
+  for (uint32_t pos : x_stack_) {
+    if (IsPos(pos)) Insert(pos, handle);
   }
-  // NOLINT(hotpath: per-emission append; sink capacity is retained)
-  ws.sink->push_back(std::move(emission));
 }
 
 template <typename Proj>
-void TopkSearch::Visit(WorkerState& ws, const Proj& proj, const RowSet& items,
-                       uint32_t items_count, uint32_t branch_pos,
+void TopkSearch::Visit(const Proj& proj, const RowSet& items,
+                       uint32_t items_count, size_t depth,
                        bool closed_on_left) {
-  (void)branch_pos;  // kept for symmetry with the paper's Depthfirst()
-  if (stopped_.load(std::memory_order_relaxed)) return;
-  ++ws.stats.nodes_visited;
+  if (stopped_) return;
+  ++stats_.nodes_visited;
   if (opt_.deadline.Expired()) {
-    stopped_.store(true, std::memory_order_relaxed);
-    timed_out_.store(true, std::memory_order_relaxed);
+    stopped_ = true;
+    stats_.timed_out = true;
     return;
   }
   if (items_count == 0) return;  // I(X) = ∅: no rules below this node
 
-  PooledVector<uint32_t> cand_lease(&ws.scratch);
+  PooledVector<uint32_t> cand_lease(&scratch_);
   std::vector<uint32_t>& cand = *cand_lease;
   // NOLINT(hotpath: fills a pooled lease whose capacity is retained)
   proj.Positions(&cand);
-  std::erase_if(cand, [&](uint32_t p) { return ws.in_x[p] != 0; });
+  std::erase_if(cand, [&](uint32_t p) { return in_x_[p] != 0; });
 
   uint32_t rp = 0;  // positive candidate rows (bounds the subtree's support)
   for (uint32_t p : cand) {
     if (IsPos(p)) ++rp;
   }
 
-  // Step 8: threshold updating. The epoch is read BEFORE the cut is
-  // computed, so a publish racing the computation at worst forces one
-  // redundant refresh below — never a missed one.
-  MaybeRaiseMinsup(ws);
-  uint64_t cut_epoch = shared_->Epoch();
-  Thresh cut = ComputeCut(ws.x_stack, cand);
+  // Step 8: threshold updating.
+  MaybeRaiseMinsup();
+  uint64_t cut_epoch = epoch_;
+  Thresh cut = ComputeCut(x_stack_, cand);
 
   // Step 9: loose bounds (no scan needed).
-  if (opt_.use_bound_pruning && Hopeless(ws.xp + rp, ws.xn, cut, ws.origin)) {
-    ++ws.stats.pruned_bounds;
+  if (opt_.use_bound_pruning && Hopeless(xp_ + rp, xn_, cut)) {
+    ++stats_.pruned_bounds;
     return;
   }
 
   // Step 10: scan TT'|_X — frequencies, then absorb rows occurring in every
   // tuple (they appear in all descendants).
-  PooledVector<uint32_t> live_lease(&ws.scratch);
-  PooledVector<uint32_t> freq_lease(&ws.scratch);
-  PooledVector<uint32_t> absorbed_lease(&ws.scratch);
+  PooledVector<uint32_t> live_lease(&scratch_);
+  PooledVector<uint32_t> freq_lease(&scratch_);
+  PooledVector<uint32_t> absorbed_lease(&scratch_);
   std::vector<uint32_t>& live = *live_lease;
   std::vector<uint32_t>& live_freq = *freq_lease;
   std::vector<uint32_t>& absorbed = *absorbed_lease;
@@ -784,34 +321,46 @@ void TopkSearch::Visit(WorkerState& ws, const Proj& proj, const RowSet& items,
     }
   }
   for (uint32_t p : absorbed) {
-    ws.in_x[p] = 1;
+    in_x_[p] = 1;
     // NOLINT(hotpath: DFS stack retains capacity; amortized O(1))
-    ws.x_stack.push_back(p);
-    IsPos(p) ? ++ws.xp : ++ws.xn;
+    x_stack_.push_back(p);
+    IsPos(p) ? ++xp_ : ++xn_;
   }
 
   // Step 11: tight bounds (mp = candidate consequent rows that can still
   // appear in a descendant antecedent support set).
-  const bool pruned =
-      opt_.use_bound_pruning &&
-      Hopeless(ws.xp + mp, ws.xn, ComputeCut(ws.x_stack, live), ws.origin);
+  const bool pruned = opt_.use_bound_pruning &&
+                      Hopeless(xp_ + mp, xn_, ComputeCut(x_stack_, live));
   if (pruned) {
-    ++ws.stats.pruned_bounds;
+    ++stats_.pruned_bounds;
   } else {
     // Step 13: emit the rule group of this node and update covered rows.
     // Only nodes with X == R(I(X)) carry a rule group; when the backward
     // check failed we are in a redundant subtree that emits nothing.
-    if (closed_on_left) EmitAt(ws, items, cut);
+    if (closed_on_left) EmitAt(items, cut);
 
     // Positive candidates at positions after live[i] — the only rows that
     // can still raise a child subtree's support beyond X.
-    PooledVector<uint32_t> suffix_lease(&ws.scratch);
+    PooledVector<uint32_t> suffix_lease(&scratch_);
     std::vector<uint32_t>& suffix_pos = *suffix_lease;
     // NOLINT(hotpath: pooled lease retains capacity across nodes)
     suffix_pos.assign(live.size() + 1, 0);
     for (size_t i = live.size(); i-- > 0;) {
       suffix_pos[i] = suffix_pos[i + 1] + (IsPos(live[i]) ? 1 : 0);
     }
+
+    // The root checks each child against the cut over the rows it can
+    // still cover (X ∪ live) from the first child on; deeper nodes keep
+    // the node-entry cut until a threshold moves.
+    if (depth == 0) cut_epoch = kEpochNever;
+    // Sharded mining: only first-level children at local positions below
+    // the planner's limit are mined here. Children at or past it root
+    // subtrees whose every closed group has its earliest non-absorbed row
+    // in a LATER shard's owned range — that shard mines them. live is
+    // ascending in position, so the eligible children are a prefix.
+    const uint32_t child_limit =
+        depth == 0 && hooks_ != nullptr ? hooks_->first_level_limit
+                                        : UINT32_MAX;
 
     // Step 14: enumerate children in ORD order. Step 7's backward check
     // runs here, before the child projection is built: a skipped earlier
@@ -821,61 +370,42 @@ void TopkSearch::Visit(WorkerState& ws, const Proj& proj, const RowSet& items,
     // need not even be constructed. Redundancy propagates downward (the
     // earlier row also contains every descendant's smaller I), so in
     // ablation mode each descendant's own check re-detects it.
-    for (size_t i = 0;
-         i < live.size() && !stopped_.load(std::memory_order_relaxed); ++i) {
-      if (live.size() - i >= 2 && CanSpawn(ws, live.size() - i)) {
-        // Dynamic split: another worker is starving and nothing else of
-        // ours is stealable — shed ALL unvisited children of this node
-        // (including live[i]: the spawned batch must be a canonically
-        // contiguous block for the replay marker to stitch back in) and
-        // abandon the loop. This worker pops part of the batch back off
-        // its own deque after unwinding; the starving workers take the
-        // rest.
-        // NOLINT(hotpath: split path — runs once per shed subtree when a
-        // worker starves, bounded by the spawn policy, not per node)
-        SpawnRemaining(ws, items, live, live_freq, suffix_pos, i);
-        break;
-      }
-      if (opt_.use_topk_pruning || opt_.use_bound_pruning) {
-        // Eager threshold propagation: refresh the cut whenever any worker
-        // published a tighter k-th entry since it was computed. Without
-        // this, the cut is node-entry-stale for the whole child loop — on
-        // big nodes that is exactly the window where parallel workers used
-        // to keep exploring subtrees a current bound already kills.
-        const uint64_t epoch_now = shared_->Epoch();
-        if (epoch_now != cut_epoch) {
-          cut_epoch = epoch_now;
-          cut = ComputeCut(ws.x_stack, live);
-        }
-      }
+    for (size_t i = 0; i < live.size() && !stopped_; ++i) {
       const uint32_t p = live[i];
+      if (p >= child_limit) break;
+      if ((opt_.use_topk_pruning || opt_.use_bound_pruning) &&
+          epoch_ != cut_epoch) {
+        // Refresh the cut whenever a k-th entry moved since it was
+        // computed: an emission in an earlier child's subtree may have
+        // tightened a bound that prunes the children still to come.
+        cut_epoch = epoch_;
+        cut = ComputeCut(x_stack_, live);
+      }
       if (opt_.use_bound_pruning) {
         // Per-child loose bounds before any per-child work: support in the
         // child subtree is capped by X, the branch row, and the positive
         // candidates ordered after it; the parent's cut is a lower bound on
         // every child's cut, so pruning against it is sound.
         const uint32_t child_sup_ub =
-            ws.xp + (IsPos(p) ? 1 : 0) + suffix_pos[i + 1];
-        const uint32_t child_min_neg = ws.xn + (IsPos(p) ? 0 : 1);
-        if (Hopeless(child_sup_ub, child_min_neg, cut, ws.origin)) {
-          ++ws.stats.pruned_bounds;
+            xp_ + (IsPos(p) ? 1 : 0) + suffix_pos[i + 1];
+        const uint32_t child_min_neg = xn_ + (IsPos(p) ? 0 : 1);
+        if (Hopeless(child_sup_ub, child_min_neg, cut)) {
+          ++stats_.pruned_bounds;
           continue;
         }
       }
       // The parent's `items` lives at a shallower slot (or outside the
       // pool entirely), so writing this depth's slot never aliases it.
-      const size_t depth = ws.chain_pos.size();
-      if (ws.rowset_scratch.size() <= depth) {
+      if (rowset_scratch_.size() <= depth) {
         // NOLINT(hotpath: one-time growth per depth first reached; every
         // later node at this depth reuses the slot allocation-free)
-        ws.rowset_scratch.resize(depth + 1);
+        rowset_scratch_.resize(depth + 1);
       }
-      RowSet& child_items = ws.rowset_scratch[depth];
+      RowSet& child_items = rowset_scratch_[depth];
       items.IntersectAdaptiveInto(data_.row_bitset(order_[p]), &child_items);
       bool child_closed = true;
       for (uint32_t q = 0; q < p; ++q) {
-        if (!ws.in_x[q] &&
-            child_items.IsSubsetOf(data_.row_bitset(order_[q]))) {
+        if (!in_x_[q] && child_items.IsSubsetOf(data_.row_bitset(order_[q]))) {
           child_closed = false;
           break;
         }
@@ -885,445 +415,35 @@ void TopkSearch::Visit(WorkerState& ws, const Proj& proj, const RowSet& items,
       // the child duplicates a branch an earlier shard enumerates.
       if (child_closed && ContainedOutside(child_items)) child_closed = false;
       if (!child_closed) {
-        ++ws.stats.pruned_backward;
+        ++stats_.pruned_backward;
         if (opt_.use_backward_pruning) continue;
       }
-      ws.in_x[p] = 1;
-      ws.x_stack.push_back(p);  // NOLINT(hotpath: stack keeps capacity)
-      IsPos(p) ? ++ws.xp : ++ws.xn;
-      ws.chain_pos.push_back(p);  // NOLINT(hotpath: stack keeps capacity)
-      // NOLINT(hotpath: stack keeps capacity)
-      ws.chain_live.push_back(&live);
+      in_x_[p] = 1;
+      x_stack_.push_back(p);  // NOLINT(hotpath: stack keeps capacity)
+      IsPos(p) ? ++xp_ : ++xn_;
       // NOLINT(hotpath: the child projection build is the per-child
       // descent cost — arena-backed for the tree strategy, by-design
       // rebuild scans for the bitset/vector strategies)
-      Visit(ws, proj.Child(p, live), child_items, live_freq[i], p,
+      Visit(proj.Child(p, live), child_items, live_freq[i], depth + 1,
             child_closed);
-      ws.chain_live.pop_back();
-      ws.chain_pos.pop_back();
-      IsPos(p) ? --ws.xp : --ws.xn;
-      ws.x_stack.pop_back();
-      ws.in_x[p] = 0;
+      IsPos(p) ? --xp_ : --xn_;
+      x_stack_.pop_back();
+      in_x_[p] = 0;
     }
   }
 
   for (auto it = absorbed.rbegin(); it != absorbed.rend(); ++it) {
     const uint32_t p = *it;
-    IsPos(p) ? --ws.xp : --ws.xn;
-    ws.x_stack.pop_back();
-    ws.in_x[p] = 0;
+    IsPos(p) ? --xp_ : --xn_;
+    x_stack_.pop_back();
+    in_x_[p] = 0;
   }
-}
-
-void TopkSearch::SwitchCtx(WorkerState& ws, const NodeCtx& ctx) const {
-  for (uint32_t p : ws.x_stack) ws.in_x[p] = 0;
-  ws.x_stack = ctx.x_stack;
-  for (uint32_t p : ws.x_stack) ws.in_x[p] = 1;
-  ws.xp = ctx.xp;
-  ws.xn = ctx.xn;
-}
-
-bool TopkSearch::CanSpawn(const WorkerState& ws, size_t remaining) const {
-  // Snapshot cost grows with the chain (every parent live list is copied);
-  // past this depth the unvisited children are too small to be worth
-  // shipping anyway.
-  constexpr size_t kMaxSpawnDepth = 32;
-  return num_workers_ > 1 && ws.task != nullptr &&
-         starving_.load(std::memory_order_relaxed) > 0 &&
-         deques_[ws.worker_index]->Empty() &&
-         ws.chain_pos.size() <= kMaxSpawnDepth &&
-         // One origin slot per shed child plus one for the continuing
-         // parent must fit in the unit's free range (see SpawnRemaining).
-         ws.origin_limit - ws.origin >= remaining + 2;
-}
-
-void TopkSearch::SpawnRemaining(WorkerState& ws, const RowSet& items,
-                                const std::vector<uint32_t>& live,
-                                const std::vector<uint32_t>& live_freq,
-                                const std::vector<uint32_t>& suffix_pos,
-                                size_t first_child) {
-  auto ctx = std::make_shared<NodeCtx>();
-  ctx->x_stack = ws.x_stack;
-  ctx->xp = ws.xp;
-  ctx->xn = ws.xn;
-  ctx->items = items;
-  ctx->live = live;
-  ctx->live_freq = live_freq;
-  ctx->suffix_pos = suffix_pos;
-  ctx->chain_pos = ws.chain_pos;
-  ctx->chain_live.reserve(ws.chain_live.size());
-  for (const std::vector<uint32_t>* parent_live : ws.chain_live) {
-    ctx->chain_live.push_back(*parent_live);
-  }
-
-  SubtreeTask& parent = *ws.task;
-  const size_t marker = parent.emissions.size();
-  const size_t count = live.size() - first_child;
-  // Carve the unit's free origin range [origin, origin_limit) among the
-  // shed children and the continuing parent, in canonical order: child j
-  // gets [base + 1 + j*slice, base + 1 + (j+1)*slice) and the parent's
-  // own base moves past all of them. Everything already inserted with the
-  // old base stays canonically before every child; each child's entries
-  // order exactly against its siblings and against the parent's later
-  // emissions — origin comparisons remain exact through the split.
-  // CanSpawn guarantees slice >= 1.
-  const uint32_t avail = ws.origin_limit - ws.origin - 1;
-  const uint32_t slice = avail / (static_cast<uint32_t>(count) + 1);
-  std::vector<SubtreeTask*> fresh;
-  fresh.reserve(count);
-  for (size_t j = first_child; j < live.size(); ++j) {
-    auto t = std::make_unique<SubtreeTask>();
-    t->ctx = ctx;
-    t->child = static_cast<uint32_t>(j);
-    t->origin_base =
-        ws.origin + 1 + static_cast<uint32_t>(j - first_child) * slice;
-    t->origin_limit = t->origin_base + slice;
-    fresh.push_back(t.get());
-    parent.spawned.push_back(std::move(t));
-    parent.spawn_at.push_back(marker);
-  }
-  // The parent's own emissions are canonically AFTER the spawned subtrees
-  // from here on; its remaining range starts past their slices.
-  ws.origin += 1 + static_cast<uint32_t>(count) * slice;
-  // Publish: count first (a stolen task must never be the one that drops
-  // pending_ to zero while its siblings are still being pushed), then the
-  // tasks themselves, oldest = canonically first, so a thief's StealTop
-  // takes the earliest — and largest — subtree.
-  pending_.fetch_add(count, std::memory_order_release);
-  WorkStealDeque<SubtreeTask*>& own = *deques_[ws.worker_index];
-  for (SubtreeTask* t : fresh) own.PushBottom(t);
-  ws.stats.tasks_spawned += count;
-}
-
-template <typename Proj>
-void TopkSearch::RunTask(WorkerState& ws, const Proj& node_proj,
-                         SubtreeTask& task) {
-  const NodeCtx& ctx = *task.ctx;
-  const uint32_t p = ctx.live[task.child];
-  if (opt_.use_bound_pruning) {
-    // The serial search checks each child against its parent's cut before
-    // building its projection; here the check runs when the task is
-    // claimed, against the freshest thresholds (any achieved threshold is
-    // a sound pruning bound). For a task that sat queued while the
-    // thresholds matured — the common case late in the search — this is
-    // where the whole subtree dies for the price of one cut.
-    const Thresh cut = ComputeCut(ws.x_stack, ctx.live);
-    const uint32_t child_sup_ub =
-        ws.xp + (IsPos(p) ? 1 : 0) + ctx.suffix_pos[task.child + 1];
-    const uint32_t child_min_neg = ws.xn + (IsPos(p) ? 0 : 1);
-    if (Hopeless(child_sup_ub, child_min_neg, cut, ws.origin)) {
-      ++ws.stats.pruned_bounds;
-      return;
-    }
-  }
-  // Same per-depth scratch discipline as Visit: ctx.items lives in the
-  // heap NodeCtx, never in the pool, so the slot write cannot alias it.
-  const size_t depth = ws.chain_pos.size();
-  if (ws.rowset_scratch.size() <= depth) {
-    // NOLINT(hotpath: one-time growth per depth first reached; every
-    // later node at this depth reuses the slot allocation-free)
-    ws.rowset_scratch.resize(depth + 1);
-  }
-  RowSet& child_items = ws.rowset_scratch[depth];
-  ctx.items.IntersectAdaptiveInto(data_.row_bitset(order_[p]), &child_items);
-  bool child_closed = true;
-  for (uint32_t q = 0; q < p; ++q) {
-    if (!ws.in_x[q] && child_items.IsSubsetOf(data_.row_bitset(order_[q]))) {
-      child_closed = false;
-      break;
-    }
-  }
-  // See Visit: the out-of-shard half of the backward check.
-  if (child_closed && ContainedOutside(child_items)) child_closed = false;
-  if (!child_closed) {
-    ++ws.stats.pruned_backward;
-    if (opt_.use_backward_pruning) return;
-  }
-  ws.in_x[p] = 1;
-  ws.x_stack.push_back(p);  // NOLINT(hotpath: stack keeps capacity)
-  IsPos(p) ? ++ws.xp : ++ws.xn;
-  ws.chain_pos.push_back(p);  // NOLINT(hotpath: stack keeps capacity)
-  // NOLINT(hotpath: stack keeps capacity)
-  ws.chain_live.push_back(&ctx.live);
-  // NOLINT(hotpath: child projection build — see the matching Visit site)
-  Visit(ws, node_proj.Child(p, ctx.live), child_items,
-        ctx.live_freq[task.child], p, child_closed);
-  ws.chain_live.pop_back();
-  ws.chain_pos.pop_back();
-  IsPos(p) ? --ws.xp : --ws.xn;
-  ws.x_stack.pop_back();
-  ws.in_x[p] = 0;
-}
-
-template <typename Proj>
-void TopkSearch::MineRoot(const Proj& root, const RowSet& items,
-                          uint32_t items_count) {
-  WorkerState root_ws;
-  root_ws.in_x.assign(data_.num_rows(), 0);
-  root_ws.sink = &root_emissions_;
-  root_ws.origin = 1;  // root emissions replay right after the seeds
-  root_ws.origin_limit = 2;  // no range: the root unit never splits
-
-  ++root_ws.stats.nodes_visited;
-  bool fan_out = false;
-  auto root_ctx = std::make_shared<NodeCtx>();
-  if (opt_.deadline.Expired()) {
-    timed_out_.store(true, std::memory_order_relaxed);
-  } else if (items_count > 0) {
-    std::vector<uint32_t> cand;
-    root.Positions(&cand);
-
-    uint32_t rp = 0;
-    for (uint32_t p : cand) {
-      if (IsPos(p)) ++rp;
-    }
-
-    MaybeRaiseMinsup(root_ws);
-    const Thresh cut = ComputeCut(root_ws.x_stack, cand);
-
-    if (opt_.use_bound_pruning && Hopeless(rp, 0, cut, root_ws.origin)) {
-      ++root_ws.stats.pruned_bounds;
-    } else {
-      std::vector<uint32_t> live;
-      std::vector<uint32_t> live_freq;
-      std::vector<uint32_t> absorbed;
-      uint32_t mp = 0;
-      for (uint32_t p : cand) {
-        const uint32_t f = root.Freq(p, items);
-        if (f == items_count) {
-          absorbed.push_back(p);
-        } else if (f > 0) {
-          live.push_back(p);
-          live_freq.push_back(f);
-          if (IsPos(p)) ++mp;
-        }
-      }
-      for (uint32_t p : absorbed) {
-        root_ws.in_x[p] = 1;
-        root_ws.x_stack.push_back(p);
-        IsPos(p) ? ++root_ws.xp : ++root_ws.xn;
-      }
-
-      const bool pruned =
-          opt_.use_bound_pruning &&
-          Hopeless(root_ws.xp + mp, root_ws.xn,
-                   ComputeCut(root_ws.x_stack, live), root_ws.origin);
-      if (pruned) {
-        ++root_ws.stats.pruned_bounds;
-      } else {
-        // Sharded mining: the root's group (rows containing every frequent
-        // item) belongs to the shard owning the earliest such row; a guard
-        // hit means a pre-suffix row contains the full frequent set and an
-        // earlier shard (or the merge's own root pass) emits it.
-        if (!ContainedOutside(items)) EmitAt(root_ws, items, cut);
-
-        root_ctx->suffix_pos.assign(live.size() + 1, 0);
-        for (size_t i = live.size(); i-- > 0;) {
-          root_ctx->suffix_pos[i] =
-              root_ctx->suffix_pos[i + 1] + (IsPos(live[i]) ? 1 : 0);
-        }
-        root_ctx->x_stack = root_ws.x_stack;
-        root_ctx->xp = root_ws.xp;
-        root_ctx->xn = root_ws.xn;
-        root_ctx->items = items;
-        root_ctx->live = std::move(live);
-        root_ctx->live_freq = std::move(live_freq);
-        // chain_pos/chain_live stay empty: the root's projection needs no
-        // Child() calls to rebuild.
-        fan_out = true;
-      }
-    }
-  }
-
-  // Sharded mining: only first-level children at local positions below the
-  // planner's limit become subtree tasks. Children at or past the limit
-  // root subtrees whose every closed group has its earliest non-absorbed
-  // row in a LATER shard's owned range — that shard mines them (its prefix
-  // guard cannot fire on them because their defining row precedes nothing
-  // it excludes). live is ascending in position, so the eligible children
-  // are a prefix.
-  uint32_t fan_limit = static_cast<uint32_t>(root_ctx->live.size());
-  if (hooks_ != nullptr) {
-    while (fan_limit > 0 &&
-           root_ctx->live[fan_limit - 1] >= hooks_->first_level_limit) {
-      --fan_limit;
-    }
-  }
-
-  if (!fan_out || root_ctx->live.empty() || fan_limit == 0) {
-    MergeStats(root_ws.stats);
-    return;
-  }
-  root_ctx_ = root_ctx;
-
-  // Every first-level subtree is one task owning an equal stripe of the
-  // origin space, in canonical child order (0 = seeds, 1 = root; see the
-  // kOriginMax comment). One scheduler serves every thread count: at one
-  // worker the root queue is claimed strictly in canonical order and
-  // nothing ever starves, so no split fires and the search IS the paper's
-  // serial DFS. stride == 0 (more first-level children than origin slots)
-  // degrades every task to the unencodable base: ties are never
-  // suppressed and tasks never split, which is slow but exact.
-  const uint32_t fan = fan_limit;
-  const uint32_t stride = (kOriginMax - 2) / std::max(fan, 1u);
-  tasks_.reserve(fan);
-  for (uint32_t i = 0; i < fan; ++i) {
-    auto t = std::make_unique<SubtreeTask>();
-    t->ctx = root_ctx_;
-    t->child = i;
-    t->origin_base = stride > 0 ? 2 + i * stride : kOriginMax;
-    t->origin_limit = stride > 0 ? 2 + (i + 1) * stride : kOriginMax;
-    tasks_.push_back(std::move(t));
-  }
-
-  root_queue_ = std::make_unique<WorkStealDeque<SubtreeTask*>>();
-  for (auto& t : tasks_) root_queue_->PushBottom(t.get());
-  const uint32_t workers = num_workers_;
-  deques_.clear();
-  deques_.reserve(workers);
-  for (uint32_t w = 0; w < workers; ++w) {
-    deques_.push_back(std::make_unique<WorkStealDeque<SubtreeTask*>>());
-  }
-  pending_.store(tasks_.size(), std::memory_order_release);
-
-  // node_budget != 0 caps how many enumeration nodes this worker may visit
-  // before it stops claiming tasks (the serial warm-up below); 0 = run
-  // until the search is drained.
-  auto worker_loop = [&](WorkerState& ws, uint64_t node_budget) {
-    auto&& view = root.WithArena(&ws.tree_arena);
-    using ChildProj = std::decay_t<decltype(view.Child(0u, root_ctx_->live))>;
-    // Rebuilt Child()-call chain of the cached task context. A std::deque
-    // so growing it never relocates earlier projections (each level's
-    // projection may reference its parent's).
-    std::deque<ChildProj> chain;
-    const NodeCtx* cached = nullptr;
-    const ChildProj* base = &view;
-
-    auto run_one = [&](SubtreeTask* task) {
-      const NodeCtx& ctx = *task->ctx;
-      if (cached != &ctx) {
-        // Unwind root-ward before rebuilding: a projection may reference
-        // its parent, so teardown must be leaf-first.
-        while (!chain.empty()) chain.pop_back();
-        SwitchCtx(ws, ctx);
-        for (size_t d = 0; d < ctx.chain_pos.size(); ++d) {
-          const ChildProj& parent = chain.empty() ? *base : chain.back();
-          chain.push_back(parent.Child(ctx.chain_pos[d], ctx.chain_live[d]));
-        }
-        cached = &ctx;
-      }
-      ws.task = task;
-      ws.sink = &task->emissions;
-      ws.origin = task->origin_base;
-      ws.origin_limit = task->origin_limit;
-      ws.chain_pos.assign(ctx.chain_pos.begin(), ctx.chain_pos.end());
-      ws.chain_live.clear();
-      for (const std::vector<uint32_t>& parent_live : ctx.chain_live) {
-        ws.chain_live.push_back(&parent_live);
-      }
-      RunTask(ws, chain.empty() ? *base : chain.back(), *task);
-      ws.task = nullptr;
-      ++ws.stats.tasks_executed;
-    };
-
-    WorkStealDeque<SubtreeTask*>& own = *deques_[ws.worker_index];
-    while (!stopped_.load(std::memory_order_relaxed)) {
-      if (node_budget != 0 && ws.stats.nodes_visited >= node_budget) break;
-      // Own split-off work first (deepest subtree, context already hot),
-      // then an unclaimed first-level task (FIFO = canonical order), then
-      // stealing from a sibling (FIFO = its oldest, largest split).
-      SubtreeTask* task = own.PopBottom();
-      if (task == nullptr) task = root_queue_->StealTop();
-      if (task == nullptr) {
-        if (pending_.load(std::memory_order_acquire) == 0) break;
-        starving_.fetch_add(1, std::memory_order_relaxed);
-        uint32_t spins = 0;
-        while (task == nullptr && !stopped_.load(std::memory_order_relaxed)) {
-          for (uint32_t v = 1; v < workers && task == nullptr; ++v) {
-            task = deques_[(ws.worker_index + v) % workers]->StealTop();
-          }
-          if (task != nullptr) {
-            ++ws.stats.tasks_stolen;
-            break;
-          }
-          if (pending_.load(std::memory_order_acquire) == 0) break;
-          if (opt_.deadline.Expired()) {
-            stopped_.store(true, std::memory_order_relaxed);
-            timed_out_.store(true, std::memory_order_relaxed);
-            break;
-          }
-          // Yield while a split looks imminent, then back off to a short
-          // sleep: on an oversubscribed machine a pack of yielding
-          // starvers would otherwise eat the time slices of the one
-          // worker that has actual work to shed.
-          if (++spins < 64) {
-            std::this_thread::yield();
-          } else {
-            std::this_thread::sleep_for(std::chrono::microseconds(100));
-          }
-        }
-        starving_.fetch_sub(1, std::memory_order_relaxed);
-        if (task == nullptr) break;
-      }
-      if (opt_.deadline.Expired()) {
-        stopped_.store(true, std::memory_order_relaxed);
-        timed_out_.store(true, std::memory_order_relaxed);
-        pending_.fetch_sub(1, std::memory_order_release);
-        break;
-      }
-      run_one(task);
-      pending_.fetch_sub(1, std::memory_order_release);
-    }
-  };
-
-  if (workers <= 1) {
-    root_ws.worker_index = 0;
-    worker_loop(root_ws, 0);
-    MergeStats(root_ws.stats);
-    return;
-  }
-
-  // Serial warm-up: the calling thread drains first-level tasks in
-  // canonical order until the budget is spent, so the pool starts against
-  // a top-k heap whose thresholds already prune. No split can fire here
-  // (nothing is starving yet), so this prefix IS the paper's serial DFS;
-  // small searches finish inside it and never pay for threads at all.
-  const uint64_t warmup = opt_.ResolveWarmupNodes();
-  if (warmup > 0) {
-    root_ws.worker_index = 0;
-    worker_loop(root_ws, root_ws.stats.nodes_visited + warmup);
-    if (pending_.load(std::memory_order_acquire) == 0 ||
-        stopped_.load(std::memory_order_relaxed)) {
-      MergeStats(root_ws.stats);
-      return;
-    }
-  }
-
-  std::vector<std::unique_ptr<WorkerState>> pool_states;
-  pool_states.reserve(workers);
-  for (uint32_t t = 0; t < workers; ++t) {
-    auto ws = std::make_unique<WorkerState>();
-    ws->in_x.assign(data_.num_rows(), 0);
-    ws->worker_index = t;
-    pool_states.push_back(std::move(ws));
-  }
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (uint32_t t = 0; t < workers; ++t) {
-    pool.emplace_back(
-        [&worker_loop, &pool_states, t] { worker_loop(*pool_states[t], 0); });
-  }
-  for (std::thread& t : pool) t.join();
-
-  MergeStats(root_ws.stats);
-  for (const auto& ws : pool_states) MergeStats(ws->stats);
 }
 
 uint32_t TopkSearch::FinalEffectiveMinsup() const {
-  // Deterministic recomputation of the paper's dynamic minsup raise
-  // (§4.1.1, second optimization) from the final merged lists: the raises
-  // applied during the search depend on thread timing and are only ever
-  // weaker than this value.
+  // The paper's dynamic minsup raise (§4.1.1, second optimization),
+  // recomputed from the final lists: the search itself raises one level
+  // less (see MaybeRaiseMinsup).
   uint32_t effective = initial_minsup_;
   if (!opt_.dynamic_min_support || positive_positions_.empty()) {
     return effective;
@@ -1366,6 +486,7 @@ TopkResult TopkSearch::Run() {
   const Status options_status = opt_.Validate();
   TOPKRGS_CHECK(options_status.ok(), options_status.message().c_str());
   initial_minsup_ = std::max<uint32_t>(1, opt_.min_support);
+  minsup_ = initial_minsup_;
 
   // Sharded mining substitutes the GLOBAL frequent-item set: a suffix's
   // own frequent set diverges from the global one, which would change the
@@ -1401,56 +522,44 @@ TopkResult TopkSearch::Run() {
     pos_positive_[pos] = data_.label(order_[pos]) == consequent_ ? 1 : 0;
     if (pos_positive_[pos] != 0) positive_positions_.push_back(pos);
   }
-  np_ = CountClassRows(data_, consequent_);
   lists_.assign(data_.num_rows(), {});
-  shared_ = std::make_unique<SharedTopk>(data_.num_rows(), opt_.k,
-                                         initial_minsup_);
-
-  num_workers_ = ResolveThreadCount(opt_.RequestedThreads(),
-                                    std::thread::hardware_concurrency());
+  in_x_.assign(data_.num_rows(), 0);
 
   if (opt_.seed_single_items) SeedSingleItems(frequent);
 
   const uint32_t items_count = static_cast<uint32_t>(frequent.Count());
-  if (items_count > 0 && np_ > 0) {
+  if (items_count > 0 && !positive_positions_.empty()) {
     // The root item set is (near-)dense by construction; descendants
-    // re-decide their representation per node as I(X) shrinks.
+    // re-decide their representation per node as I(X) shrinks. Sharded
+    // mining: the root's group (rows containing every frequent item)
+    // belongs to the shard owning the earliest such row; a guard hit means
+    // a pre-suffix row contains the full frequent set and an earlier shard
+    // (or the merge's own root pass) emits it.
     const RowSet root_items = RowSet::FromBitset(frequent);
+    const bool root_closed = !ContainedOutside(root_items);
     switch (opt_.backend) {
       case TopkMinerOptions::Backend::kPrefixTree: {
-        TreeProjection root(PrefixTree::BuildRoot(data_, order_, frequent));
-        MineRoot(root, root_items, items_count);
+        TreeProjection root(PrefixTree::BuildRoot(data_, order_, frequent),
+                            &tree_arena_);
+        Visit(root, root_items, items_count, 0, root_closed);
         break;
       }
       case TopkMinerOptions::Backend::kBitset: {
         BitsetProjection root(&data_, &order_);
-        MineRoot(root, root_items, items_count);
+        Visit(root, root_items, items_count, 0, root_closed);
         break;
       }
       case TopkMinerOptions::Backend::kVector: {
         VectorProjection root(&data_, &order_, frequent);
-        MineRoot(root, root_items, items_count);
+        Visit(root, root_items, items_count, 0, root_closed);
         break;
       }
     }
   }
 
-  // Deterministic merge: replay every recorded emission in canonical
-  // discovery order — seeds (inserted during setup), the root node's
-  // groups, then each first-level subtree in enumeration order, recursing
-  // into split-off tasks at their spawn markers. This is exactly the
-  // serial DFS order, so the merged lists match a serial search bit for
-  // bit NO MATTER which worker ran which task or where the splits fell.
-  // The final lists depend only on WHAT was recorded, never on when;
-  // pruning-timing differences across thread counts only vary the set of
-  // recorded never-winner emissions, which the replay rejects anyway.
-  ReplayEmissions(root_emissions_);
-  for (const auto& task : tasks_) ReplayTask(*task);
-
   TopkResult result;
   Finalize(frequent, &result);
   result.effective_min_support = FinalEffectiveMinsup();
-  stats_.timed_out = timed_out_.load(std::memory_order_relaxed);
   stats_.seconds = timer.ElapsedSeconds();
   result.stats = stats_;
   result.ValidateInvariants(opt_.k);
@@ -1462,15 +571,6 @@ TopkResult TopkSearch::Run() {
 Status TopkMinerOptions::Validate() const {
   if (k < 1) {
     return Status::InvalidArgument("TopkMinerOptions: k must be >= 1");
-  }
-  if (hybrid_threads != kThreadsUnset && threads != 1 &&
-      threads != hybrid_threads) {
-    return Status::InvalidArgument(
-        "TopkMinerOptions: `threads` (" + std::to_string(threads) +
-        ") conflicts with the deprecated `hybrid_threads` alias (" +
-        std::to_string(hybrid_threads) +
-        "); set only `threads` (the alias used to win silently, hiding the "
-        "conflicting request)");
   }
   if (shard_hooks != nullptr && row_order != RowOrder::kNatural) {
     return Status::InvalidArgument(

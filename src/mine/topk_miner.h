@@ -27,7 +27,7 @@ namespace topkrgs {
 ///    suffix and vice versa), which would change the enumeration universe
 ///    and thus the emitted closures.
 ///  - `first_level_limit`: only first-level children whose LOCAL canonical
-///    position is < limit become subtree tasks. The shard planner sets
+///    position is < limit are mined. The shard planner sets
 ///    this to the shard's owned positive range so each closed group is
 ///    mined by exactly one shard (the one owning min R(G) \ absorbed).
 ///  - `contained_outside`: "is this itemset contained in some row BEFORE
@@ -35,7 +35,6 @@ namespace topkrgs {
 ///    backward check (Step 7). A hit means the node duplicates a branch
 ///    an earlier shard enumerates, exactly like an in-dataset earlier
 ///    row, so the subtree is skipped and guarded seeds are not planted.
-///    MUST be thread-safe: workers call it concurrently.
 ///
 /// All three default to "no hook" (stand-alone behavior). The struct is
 /// borrowed via `TopkMinerOptions::shard_hooks` and must outlive the
@@ -91,53 +90,12 @@ struct TopkMinerOptions {
   /// stats.timed_out (results are then incomplete).
   Deadline deadline;
 
-  /// Worker threads, honored by both MineTopkRGS and MineTopkRGSHybrid.
-  /// MineTopkRGS turns the first level of the row-enumeration tree into
-  /// subtree tasks drained through work-stealing deques (owner-LIFO /
-  /// thief-FIFO, with dynamic splitting once a worker starves), all
-  /// sharing the per-row top-k pruning thresholds through epoch-stamped
-  /// snapshots; the hybrid miner fans its per-item partitions over the
-  /// same number of workers. 0 = one thread per hardware core (clamped to
-  /// at least 1 — see ResolveThreadCount). Results are bit-for-bit
-  /// deterministic regardless of the thread count (search statistics such
-  /// as nodes_visited depend on pruning timing and are not).
+  /// Worker threads of MineTopkRGSHybrid, which fans its per-item
+  /// partitions out over this many workers. MineTopkRGS ignores it: one
+  /// search is serial and runs on the calling thread (DESIGN.md §8).
+  /// 0 = one thread per hardware core (clamped to at least 1 — see
+  /// ResolveThreadCount). Results do not depend on the thread count.
   uint32_t threads = 1;
-
-  /// Deprecated alias for `threads` (historically this field only applied
-  /// to MineTopkRGSHybrid). Setting it while `threads` keeps its default
-  /// is honored for old call sites; setting BOTH to conflicting values is
-  /// an InvalidArgument caught by Validate(). New code should set
-  /// `threads`.
-  static constexpr uint32_t kThreadsUnset = 0xffffffffu;
-  uint32_t hybrid_threads = kThreadsUnset;
-
-  /// The thread count requested, resolving the deprecated alias (but not
-  /// the 0 = hardware-default convention).
-  uint32_t RequestedThreads() const {
-    return hybrid_threads != kThreadsUnset ? hybrid_threads : threads;
-  }
-
-  /// Serial warm-up budget for the parallel miner: before any worker
-  /// thread starts, the calling thread drains first-level subtree tasks in
-  /// canonical order until it has visited this many enumeration nodes.
-  /// Workers that start against a cold top-k heap explore subtrees that
-  /// mature thresholds would prune, so without a warm-up the parallel
-  /// search can visit several times the serial node count (the
-  /// redundant-work ratio gated in bench/BENCH_topk.json). The heap needs
-  /// at least k insertions per row list before its thresholds mean
-  /// anything, so the auto budget scales with k; minings smaller than the
-  /// budget simply finish serially, which is also the right call for
-  /// wall-clock (a millisecond-scale search never amortizes thread
-  /// startup). -1 = auto (64 * k nodes), 0 = no warm-up (every task is up
-  /// for grabs immediately — tests use this to force heavy stealing),
-  /// > 0 = explicit node budget. Has no effect at 1 worker.
-  int64_t warmup_nodes = -1;
-
-  /// The warm-up budget after resolving the -1 = auto convention.
-  uint64_t ResolveWarmupNodes() const {
-    if (warmup_nodes >= 0) return static_cast<uint64_t>(warmup_nodes);
-    return 64ull * k;
-  }
 
   /// Sharded-mining hooks (borrowed, may be null = stand-alone mining).
   /// Only meaningful with row_order == kNatural: the shard miner feeds
@@ -147,11 +105,7 @@ struct TopkMinerOptions {
   const ShardHooks* shard_hooks = nullptr;
 
   /// Rejects contradictory option combinations instead of silently picking
-  /// a winner: k == 0, or `threads` and the deprecated `hybrid_threads`
-  /// alias both set to different values (historically the alias won,
-  /// which masked caller bugs). `threads` left at its default of 1 plus an
-  /// assigned alias is NOT a conflict — that is exactly the legacy calling
-  /// convention the alias exists for.
+  /// a winner: k == 0, or shard hooks without the natural row order.
   Status Validate() const;
 };
 

@@ -40,8 +40,7 @@ namespace {
 /// The out-of-shard half of the backward check: per-item postings over the
 /// PREFIX positions [0, begin_pos), as bitsets, so "is this itemset
 /// contained in some earlier row" becomes an intersection chain with an
-/// empty-set early exit. Read-only after construction — workers query it
-/// concurrently through thread-local scratch.
+/// empty-set early exit.
 class PrefixGuard {
  public:
   PrefixGuard(const TransposedView& view, const ShardPlan& plan,
@@ -66,22 +65,18 @@ class PrefixGuard {
   bool Contains(const RowSet& items) const {
     if (prefix_rows_ == 0) return false;
     if (items.Count() == 0) return true;  // ∅ ⊆ any row
-    // Thread-local accumulator: the assignment reuses its buffer across
-    // calls, and each worker owns its copy, keeping the hook safe under
-    // the work-stealing pool.
-    static thread_local Bitset acc;
     bool first = true;
     bool empty = false;
     items.ForEach([&](size_t item) {
       if (empty) return;
       const Bitset& postings = item_prefix_[item];
       if (first) {
-        acc = postings;
+        acc_ = postings;
         first = false;
       } else {
-        acc.IntersectWith(postings);
+        acc_.IntersectWith(postings);
       }
-      if (acc.None()) empty = true;
+      if (acc_.None()) empty = true;
     });
     return !empty;
   }
@@ -89,6 +84,8 @@ class PrefixGuard {
  private:
   uint32_t prefix_rows_;
   std::vector<Bitset> item_prefix_;
+  // Contains' accumulator; the assignment there reuses its buffer.
+  mutable Bitset acc_;
 };
 
 }  // namespace
@@ -116,7 +113,6 @@ ShardResult MineShard(const TransposedView& view, const ShardPlan& plan,
   mine_options.min_support = plan.initial_min_support;
   mine_options.backend = options.backend;
   mine_options.row_order = TopkMinerOptions::RowOrder::kNatural;
-  mine_options.threads = options.threads;
   mine_options.deadline = options.deadline;
   mine_options.shard_hooks = &hooks;
 

@@ -17,9 +17,9 @@ namespace topkrgs {
 /// deliberately not exposed — sharding's bit-identity contract is proven
 /// for the default configuration.
 struct ShardMineOptions {
-  /// Worker threads INSIDE each shard (the PR 7 work-stealing pool);
-  /// shards themselves run sequentially so only one dense suffix dataset
-  /// is ever resident.
+  /// Ignored: each shard's search is serial and runs on the calling
+  /// thread, and shards run one after another so only one dense suffix
+  /// dataset is ever resident. Kept so existing callers still compile.
   uint32_t threads = 1;
   TopkMinerOptions::Backend backend = TopkMinerOptions::Backend::kPrefixTree;
   /// Per-shard wall-clock budget; an expiry marks stats.timed_out and the

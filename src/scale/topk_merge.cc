@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/rule.h"
+#include "mine/topk_list.h"
 #include "util/bitset.h"
 #include "util/timer.h"
 
@@ -15,7 +16,7 @@ namespace topkrgs {
 
 namespace {
 
-/// Mutable wrapper during the merge; mirrors the miner's GroupHandle.
+/// Mutable wrapper during the merge, the handle type InsertTopk expects.
 /// `provisional` marks a reconstructed single-item seed whose closed
 /// antecedent has not arrived yet (upgraded in place on dedup, or closed
 /// against the view at finalize).
@@ -30,41 +31,10 @@ class Merger {
   Merger(const TransposedView& view, const ShardPlan& plan)
       : view_(view), plan_(plan), lists_(plan.positives) {}
 
-  /// Byte-for-byte the miner's ReplayInsert (topk_miner.cc): dedup by the
-  /// identity triple with provisional upgrade, k-th-tie rejection (the
-  /// earlier — canonically first — arrival keeps the slot), sorted insert.
+  /// The miner's list rule (mine/topk_list.h): fed the single-shot
+  /// search's insertion order, it rebuilds the single-shot lists.
   void Insert(uint32_t pos, const MergeHandlePtr& handle) {
-    auto& list = lists_[pos];
-    const RuleGroup& g = handle->group;
-
-    for (auto& existing : list) {
-      RuleGroup& e = existing->group;
-      if (e.support == g.support &&
-          e.antecedent_support == g.antecedent_support &&
-          e.row_support == g.row_support) {
-        if (existing->provisional && !handle->provisional) {
-          e.antecedent = g.antecedent;
-          existing->provisional = false;
-        }
-        return;
-      }
-    }
-
-    if (list.size() >= plan_.k) {
-      const RuleGroup& kth = list.back()->group;
-      if (CompareSignificance(g.support, g.antecedent_support, kth.support,
-                              kth.antecedent_support) <= 0) {
-        return;
-      }
-    }
-    auto it = std::find_if(
-        list.begin(), list.end(), [&](const MergeHandlePtr& e) {
-          return CompareSignificance(g.support, g.antecedent_support,
-                                     e->group.support,
-                                     e->group.antecedent_support) > 0;
-        });
-    list.insert(it, handle);
-    if (list.size() > plan_.k) list.pop_back();
+    InsertTopk(lists_[pos], handle, plan_.k);
   }
 
   /// Pass 1 — single-item seeds, ascending item order, exactly
@@ -98,7 +68,7 @@ class Merger {
   }
 
   /// Pass 2 — the root group: rows containing EVERY frequent item. Its
-  /// canonical slot is right after the seeds (origin 1 in the miner).
+  /// canonical slot is right after the seeds (the miner emits it at the root, right after seeding).
   /// Inserting it even when the single-shot search would have suppressed
   /// it is sound: suppression at the root can only be justified by seed
   /// entries, which are already in the lists here and reject it the same
@@ -280,7 +250,6 @@ StatusOr<MergedTopk> MineShardedTopkRGS(const TransposedView& view,
     aggregate.groups_emitted += result.stats.groups_emitted;
     aggregate.pruned_backward += result.stats.pruned_backward;
     aggregate.pruned_bounds += result.stats.pruned_bounds;
-    aggregate.tasks_executed += result.stats.tasks_executed;
     aggregate.tasks_spawned += result.stats.tasks_spawned;
     aggregate.tasks_stolen += result.stats.tasks_stolen;
     aggregate.timed_out = aggregate.timed_out || result.stats.timed_out;

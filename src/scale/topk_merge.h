@@ -33,7 +33,7 @@ struct MergedTopk {
 /// then each shard's lists in shard order — shard p's stream is exactly
 /// the canonical emission order of the first-level subtrees p owns.
 /// Cross-shard duplicates (seeds, the root group) collapse through the
-/// same identity-triple dedup the miner's replay uses, and surviving
+/// list rule the miner uses (InsertTopk, mine/topk_list.h), and surviving
 /// provisional seeds are closed against the view. See DESIGN.md §14 for
 /// the correctness argument.
 MergedTopk MergeShardResults(const TransposedView& view, const ShardPlan& plan,

@@ -105,6 +105,32 @@ TEST_F(CliCommandsTest, MineValidatesArguments) {
       RunMineCommand({"--data", train_, "--minsup-frac", "1.5"}).ok());
 }
 
+TEST_F(CliCommandsTest, MineThreadsFlagIsForHybridOnly) {
+  // Only the hybrid miner runs workers; a --threads any other algorithm
+  // would ignore is rejected with exit code 2 instead.
+  EXPECT_TRUE(RunMineCommand({"--data", train_, "--algorithm", "hybrid",
+                              "--threads", "2", "--max-print", "1"})
+                  .ok());
+  for (const char* algo :
+       {"topk", "farmer", "charm", "closet", "carpenter"}) {
+    const Status status = RunMineCommand(
+        {"--data", train_, "--algorithm", algo, "--threads", "2"});
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << algo;
+    EXPECT_EQ(ExitCodeForStatus(status), 2) << algo;
+  }
+  // The default algorithm is topk, so a bare --threads is rejected too.
+  EXPECT_EQ(ExitCodeForStatus(RunMineCommand({"--data", train_, "--threads",
+                                              "1"})),
+            2);
+}
+
+TEST_F(CliCommandsTest, MineRejectsWarmupNodes) {
+  const Status status =
+      RunMineCommand({"--data", train_, "--warmup-nodes", "8"});
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(ExitCodeForStatus(status), 2);
+}
+
 TEST_F(CliCommandsTest, ClassifyTrainEvaluateSaveLoad) {
   const std::string model = TempPath("cli_model.txt");
   const std::string disc = TempPath("cli_disc.txt");
@@ -245,11 +271,17 @@ TEST_F(ScaleCliTest, ShardMineValidatesArguments) {
   EXPECT_FALSE(
       RunShardMineCommand({"--data", items_, "--shards", "-1"}).ok());
   EXPECT_FALSE(
-      RunShardMineCommand({"--data", items_, "--threads", "-1"}).ok());
-  EXPECT_FALSE(
       RunShardMineCommand({"--data", items_, "--memory-budget", "-1"}).ok());
   EXPECT_FALSE(
       RunShardMineCommand({"--data", items_, "--minsup-frac", "1.5"}).ok());
+}
+
+TEST_F(ScaleCliTest, ShardMineRejectsThreadsFlag) {
+  // Each shard's search runs on the calling thread; the flag is gone.
+  const Status status =
+      RunShardMineCommand({"--data", items_, "--threads", "2"});
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(ExitCodeForStatus(status), 2);
 }
 
 }  // namespace

@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "classify/evaluator.h"
 #include "mine/carpenter.h"
 #include "mine/hybrid_miner.h"
 #include "mine/naive_miner.h"
 #include "mine/topk_miner.h"
+#include "scale/topk_merge.h"
+#include "synth/generator.h"
 #include "test_util.h"
 
 namespace topkrgs {
@@ -125,7 +130,7 @@ TEST(HybridTest, ParallelMatchesSerial) {
   serial.k = 3;
   serial.min_support = 2;
   TopkMinerOptions parallel = serial;
-  parallel.hybrid_threads = 4;
+  parallel.threads = 4;
   const TopkResult a = MineTopkRGSHybrid(d, 1, serial);
   const TopkResult b = MineTopkRGSHybrid(d, 1, parallel);
   for (RowId r = 0; r < d.num_rows(); ++r) {
@@ -134,18 +139,153 @@ TEST(HybridTest, ParallelMatchesSerial) {
   }
 }
 
+// MineTopkRGSHybrid is the one parallel top-k miner: its partitions fan
+// out over `threads` workers and aggregate in item order, so any thread
+// count must give the same lists, group for group.
+TEST(TopkParallelTest, HybridMinerHonorsThreadsField) {
+  const DiscreteDataset data = RandomDataset(13, 20, 24, 0.4);
+  TopkMinerOptions serial;
+  serial.k = 2;
+  serial.min_support = 2;
+  serial.threads = 1;
+  const TopkResult reference = MineTopkRGSHybrid(data, 1, serial);
+  TopkMinerOptions parallel = serial;
+  parallel.threads = 4;
+  const TopkResult result = MineTopkRGSHybrid(data, 1, parallel);
+  EXPECT_EQ(TopkDigest(reference.per_row, reference.effective_min_support),
+            TopkDigest(result.per_row, result.effective_min_support));
+  EXPECT_EQ(result.DistinctGroups().size(), reference.DistinctGroups().size());
+}
+
 TEST(HybridTest, ZeroThreadsMeansHardwareDefault) {
   DiscreteDataset d = RandomDataset(92, 10, 12, 0.4);
   TopkMinerOptions opt;
   opt.k = 2;
   opt.min_support = 2;
-  opt.hybrid_threads = 0;
+  opt.threads = 0;
   const TopkResult via_hw = MineTopkRGSHybrid(d, 1, opt);
-  opt.hybrid_threads = 1;
+  opt.threads = 1;
   const TopkResult via_one = MineTopkRGSHybrid(d, 1, opt);
   for (RowId r = 0; r < d.num_rows(); ++r) {
     EXPECT_EQ(SignificanceSeq(via_hw.per_row[r]),
               SignificanceSeq(via_one.per_row[r]));
+  }
+}
+
+TEST(TopkParallelTest, ResolveThreadCountClampsAutoToAtLeastOne) {
+  // threads = 0 means "one per hardware core", but the standard allows
+  // hardware_concurrency() to report 0 when the core count is unknowable;
+  // the resolved worker count must still be >= 1.
+  EXPECT_EQ(ResolveThreadCount(0, 0), 1u);
+  EXPECT_EQ(ResolveThreadCount(0, 1), 1u);
+  EXPECT_EQ(ResolveThreadCount(0, 8), 8u);
+  // Explicit requests pass through untouched, even on the 0-core report.
+  EXPECT_EQ(ResolveThreadCount(3, 0), 3u);
+  EXPECT_EQ(ResolveThreadCount(1, 16), 1u);
+}
+
+/// Deep equality of two mining results: every per-row list must match
+/// group-for-group (antecedent, supports, row support, order), along with
+/// the derived threshold and the distinct-group ordering.
+void ExpectIdenticalResults(const TopkResult& a, const TopkResult& b,
+                            const std::string& context) {
+  EXPECT_EQ(a.effective_min_support, b.effective_min_support) << context;
+  ASSERT_EQ(a.per_row.size(), b.per_row.size()) << context;
+  for (size_t r = 0; r < a.per_row.size(); ++r) {
+    const auto& la = a.per_row[r];
+    const auto& lb = b.per_row[r];
+    ASSERT_EQ(la.size(), lb.size()) << context << " row " << r;
+    for (size_t i = 0; i < la.size(); ++i) {
+      const RuleGroup& ga = *la[i];
+      const RuleGroup& gb = *lb[i];
+      EXPECT_EQ(ga.antecedent, gb.antecedent)
+          << context << " row " << r << " rank " << i;
+      EXPECT_EQ(ga.consequent, gb.consequent)
+          << context << " row " << r << " rank " << i;
+      EXPECT_EQ(ga.support, gb.support)
+          << context << " row " << r << " rank " << i;
+      EXPECT_EQ(ga.antecedent_support, gb.antecedent_support)
+          << context << " row " << r << " rank " << i;
+      EXPECT_EQ(ga.row_support, gb.row_support)
+          << context << " row " << r << " rank " << i;
+    }
+  }
+  const auto da = a.DistinctGroups();
+  const auto db = b.DistinctGroups();
+  ASSERT_EQ(da.size(), db.size()) << context;
+  for (size_t i = 0; i < da.size(); ++i) {
+    EXPECT_EQ(da[i]->antecedent, db[i]->antecedent) << context << " #" << i;
+    EXPECT_EQ(da[i]->row_support, db[i]->row_support) << context << " #" << i;
+  }
+}
+
+/// "Results do not depend on the thread count" (TopkMinerOptions::threads)
+/// for both top-k miners: MineTopkRGS must return its threads=1 lists and
+/// node count at any value of the field, and MineTopkRGSHybrid, which fans
+/// its partitions out over that many workers, its threads=1 lists.
+void CheckThreadInvariance(const DiscreteDataset& data, ClassLabel consequent,
+                           TopkMinerOptions opt, const std::string& context) {
+  opt.threads = 1;
+  const TopkResult serial = MineTopkRGS(data, consequent, opt);
+  const TopkResult hybrid = MineTopkRGSHybrid(data, consequent, opt);
+  EXPECT_FALSE(serial.stats.timed_out) << context;
+  EXPECT_FALSE(hybrid.stats.timed_out) << context;
+  for (uint32_t threads : {2u, 8u, 0u /* auto = hardware cores */}) {
+    TopkMinerOptions par = opt;
+    par.threads = threads;
+    const std::string at = context + " threads=" + std::to_string(threads);
+    const TopkResult result = MineTopkRGS(data, consequent, par);
+    EXPECT_EQ(result.stats.nodes_visited, serial.stats.nodes_visited) << at;
+    ExpectIdenticalResults(serial, result, at);
+    // threads=0 on the hybrid miner is HybridTest.ZeroThreadsMeansHardware-
+    // Default's case; here the worker count stays bounded.
+    if (threads == 0) continue;
+    ExpectIdenticalResults(hybrid, MineTopkRGSHybrid(data, consequent, par),
+                           at + " hybrid");
+  }
+}
+
+TEST(TopkParallelTest, DeterministicOnSyntheticPipelineData) {
+  for (uint64_t seed : {7u, 19u}) {
+    const GeneratedData data = GenerateMicroarray(DatasetProfile::Tiny(seed));
+    const Pipeline pipeline = PreparePipeline(data.train, data.test);
+    for (ClassLabel consequent : {0, 1}) {
+      TopkMinerOptions opt;
+      opt.k = 3;
+      opt.min_support = 2;
+      CheckThreadInvariance(pipeline.train, consequent, opt,
+                            "tiny seed " + std::to_string(seed) + " class " +
+                                std::to_string(consequent));
+    }
+  }
+}
+
+TEST(TopkParallelTest, DeterministicAcrossBackends) {
+  const DiscreteDataset data = RandomDataset(11, 28, 40, 0.35);
+  for (auto backend : {TopkMinerOptions::Backend::kPrefixTree,
+                       TopkMinerOptions::Backend::kBitset,
+                       TopkMinerOptions::Backend::kVector}) {
+    TopkMinerOptions opt;
+    opt.k = 4;
+    opt.min_support = 2;
+    opt.backend = backend;
+    CheckThreadInvariance(
+        data, 1, opt,
+        "backend " + std::to_string(static_cast<int>(backend)));
+  }
+}
+
+TEST(TopkParallelTest, DeterministicOverRandomDatasets) {
+  for (uint64_t seed = 0; seed < 8; ++seed) {
+    const DiscreteDataset data = RandomDataset(seed, 24, 32, 0.4);
+    for (uint32_t k : {1u, 2u, 5u}) {
+      TopkMinerOptions opt;
+      opt.k = k;
+      opt.min_support = 1 + static_cast<uint32_t>(seed % 3);
+      CheckThreadInvariance(data, 1, opt,
+                            "seed " + std::to_string(seed) + " k " +
+                                std::to_string(k));
+    }
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include "mine/miner_common.h"
 #include "mine/naive_miner.h"
+#include "scale/topk_merge.h"
 #include "test_util.h"
 
 namespace topkrgs {
@@ -230,6 +231,61 @@ TEST_P(TopkAblationTest, PruningTogglesPreserveResults) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, TopkAblationTest, ::testing::Range(0, 10));
+
+void ExpectMatchesOracle(const TopkResult& got,
+                         const std::vector<std::vector<RuleGroup>>& oracle,
+                         const std::string& context) {
+  ASSERT_EQ(got.per_row.size(), oracle.size()) << context;
+  for (size_t r = 0; r < oracle.size(); ++r) {
+    EXPECT_EQ(SignificanceSeq(got.per_row[r]), SignificanceSeqValues(oracle[r]))
+        << context << " row " << r;
+  }
+}
+
+TEST(TopkMinerTest, AblationsMatchOracle) {
+  // Each pruning ablation on a dataset wider than the ablation sweep's:
+  // switching a pruning rule off changes the nodes visited, never the
+  // lists (Definition 2.3).
+  const DiscreteDataset data = RandomDataset(3, 18, 30, 0.4);
+  const auto oracle = NaiveTopkRGS(data, 1, 2, 3);
+  TopkMinerOptions base;
+  base.k = 3;
+  base.min_support = 2;
+  TopkMinerOptions no_topk = base;
+  no_topk.use_topk_pruning = false;
+  ExpectMatchesOracle(MineTopkRGS(data, 1, no_topk), oracle, "no-topk");
+  TopkMinerOptions no_bound = base;
+  no_bound.use_bound_pruning = false;
+  ExpectMatchesOracle(MineTopkRGS(data, 1, no_bound), oracle, "no-bound");
+  TopkMinerOptions no_seed_no_dyn = base;
+  no_seed_no_dyn.seed_single_items = false;
+  no_seed_no_dyn.dynamic_min_support = false;
+  ExpectMatchesOracle(MineTopkRGS(data, 1, no_seed_no_dyn), oracle,
+                      "no-seeding-no-dynamic-minsup");
+}
+
+TEST(TopkMinerTest, ThreadsFieldLeavesSearchUnchanged) {
+  // One search is serial: `threads` only sizes MineTopkRGSHybrid's
+  // partitions, so MineTopkRGS visits the same nodes and returns the same
+  // lists at any value of it, and those lists are the oracle's.
+  for (uint64_t seed : {2u, 5u}) {
+    const DiscreteDataset data = RandomDataset(seed, 16, 18, 0.45);
+    TopkMinerOptions opt;
+    opt.k = 2;
+    opt.min_support = 2;
+    const TopkResult serial = MineTopkRGS(data, 1, opt);
+    ExpectMatchesOracle(serial, NaiveTopkRGS(data, 1, opt.min_support, opt.k),
+                        "seed " + std::to_string(seed));
+    for (uint32_t threads : {0u, 8u}) {
+      opt.threads = threads;
+      const TopkResult got = MineTopkRGS(data, 1, opt);
+      EXPECT_EQ(got.stats.nodes_visited, serial.stats.nodes_visited);
+      EXPECT_EQ(TopkDigest(got.per_row, got.effective_min_support),
+                TopkDigest(serial.per_row, serial.effective_min_support))
+          << "seed " << seed << " threads " << threads;
+    }
+  }
+}
 
 TEST(TopkMinerTest, PruningReducesSearchNodes) {
   DiscreteDataset d = RandomDataset(3, 12, 14, 0.5);

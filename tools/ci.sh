@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # CI gate with two stages:
 #
-#   tsan  — build the ThreadSanitizer preset and run the parallel-miner
-#           determinism tests plus the classifier/serving thread-safety
-#           tests under it. The parallel MineTopkRGS promises bit-for-bit
-#           identical results for any thread count, and the serving stack
+#   tsan  — build the ThreadSanitizer preset and run the hybrid miner's
+#           tests plus the classifier/serving thread-safety tests under
+#           it. MineTopkRGSHybrid, the one parallel miner, promises the
+#           same results for any thread count, and the serving stack
 #           promises lock-free shared-classifier Predict; this stage is
 #           the race detector backing both — run it before merging
 #           anything touching src/mine/, src/serve/ or src/util/arena.h.
@@ -29,11 +29,8 @@
 #           integer narrowing, C-casts and signed/size comparisons across
 #           src/, shrink-only baseline, src/serve and src/synth pinned at
 #           zero), the bench-gate self-tests (gate_selftest.py — the
-#           redundancy/RSS/coverage gates against pass/fail/vacuous
-#           fixtures, so a broken gate can never silently pass), the
-#           redundant-work-ratio gate (redundancy_gate.py —
-#           8-thread nodes_visited over serial, ceiling 1.15, from the
-#           committed bench/BENCH_topk.json), the out-of-core RSS gate
+#           RSS/coverage gates against pass/fail/vacuous fixtures, so a
+#           broken gate can never silently pass), the out-of-core RSS gate
 #           (rss_gate.py — mine peak RSS within its
 #           --memory-budget and shard-count-invariant digests, from the
 #           committed bench/BENCH_scale.json), and the hot-path purity
@@ -54,7 +51,7 @@
 #   astlint — hot-path purity gate (DESIGN.md §16) on its own:
 #           tools/lint/astlint.py --self-test (the hazard/clean fixture
 #           pair must still trip every check), then the call-graph lint
-#           over src/ — no allocation, high-rank locks, blocking I/O,
+#           over src/ — no allocation, locks, blocking I/O,
 #           expensive implicit copies, or formatted Status construction
 #           reachable from any TKRGS_HOT root without a justified
 #           NOLINT(hotpath: ...). Uses libclang over the lint preset's
@@ -275,7 +272,7 @@ run_intsan() {
 }
 
 run_tsan() {
-  local pattern="${1:-TopkParallel}"
+  local pattern="${1:-ThreadSafety|Hybrid}"
   echo "== configure (tsan) =="
   cmake --preset tsan
   echo "== build (tsan) =="
@@ -439,7 +436,7 @@ case "${STAGE}" in
   coverage) run_coverage ;;
   ubsan) run_ubsan ;;
   intsan) run_intsan ;;
-  tsan) run_tsan "${2:-TopkParallel|ThreadSafety|WorkStealDeque}" ;;
+  tsan) run_tsan "${2:-ThreadSafety|Hybrid}" ;;
   fuzz) run_fuzz ;;
   simd) run_simd ;;
   scale) run_scale ;;
@@ -448,7 +445,7 @@ case "${STAGE}" in
     run_lint
     run_astlint
     run_analyze
-    run_tsan "${2:-TopkParallel|ThreadSafety|WorkStealDeque}"
+    run_tsan "${2:-ThreadSafety|Hybrid}"
     run_ubsan
     run_intsan
     run_fuzz

@@ -1,8 +1,8 @@
 // Hot-path purity CLEAN fixture for tools/lint/astlint.py --self-test.
 // NEVER COMPILED: the mirror image of hotpath_fixture.cc — annotated hot
 // roots whose entire reachable region is pure, plus the shapes the
-// analyzer must NOT flag: word-level set algebra, a lock at a sanctioned
-// rank, a cold allocator that no hot root reaches, elision-friendly
+// analyzer must NOT flag: word-level set algebra, a lock taken only on a
+// cold path, a cold allocator that no hot root reaches, elision-friendly
 // prvalue initialization, and a justified NOLINT block. The self-test
 // requires exactly zero findings here.
 
@@ -36,8 +36,11 @@ class Counter {
     return total;
   }
 
-  TKRGS_HOT void HotStripe(unsigned long long v) {
-    MutexLock lock(stripe_mu_);
+  TKRGS_HOT void HotStore(unsigned long long v) { last_ = v; }
+
+  // Cold: locks, but no TKRGS_HOT root reaches it.
+  void ColdPublish(unsigned long long v) {
+    MutexLock lock(publish_mu_);
     last_ = v;
   }
 
@@ -61,7 +64,7 @@ class Counter {
     return n;
   }
 
-  Mutex stripe_mu_{lock_rank::kMinerTopkStripe, "Counter::stripe_mu_"};
+  Mutex publish_mu_{lock_rank::kExecutorQueue, "Counter::publish_mu_"};
   std::vector<unsigned long long> out_;
   unsigned long long last_ = 0;
 };
