@@ -174,6 +174,9 @@ CbaClassifier::Prediction CbaClassifier::PredictDetailed(
 CbaClassifier TrainCba(const DiscreteDataset& train, const CbaOptions& options) {
   std::vector<Rule> rules;
   const std::vector<uint32_t> class_counts = train.ClassCounts();
+  std::vector<double> computed_scores;
+  const std::vector<double>& item_scores =
+      ResolveItemScores(train, options.item_scores, &computed_scores);
   for (uint32_t cls = 0; cls < train.num_classes(); ++cls) {
     if (class_counts[cls] == 0) continue;
     TopkMinerOptions mopt;
@@ -186,7 +189,7 @@ CbaClassifier TrainCba(const DiscreteDataset& train, const CbaOptions& options) 
     lopt.num_lower_bounds = 1;
     for (const RuleGroupPtr& group : mined.DistinctGroups()) {
       std::vector<Rule> lbs =
-          FindLowerBounds(train, *group, options.item_scores, lopt);
+          FindLowerBounds(train, *group, item_scores, lopt);
       for (Rule& lb : lbs) {
         if (options.min_confidence > 0.0 &&
             lb.confidence() < options.min_confidence) {

@@ -27,7 +27,9 @@ struct FindLbOptions {
 /// minimal sub-antecedents A' of the upper bound with R(A') == R(A).
 /// `item_scores[i]` ranks item i (higher = more discriminative gene, tried
 /// first); pass an empty vector to rank by per-item information gain
-/// computed from `data`. Results are ordered shortest-first, then by score.
+/// computed from `data` (callers making many calls resolve the scores once
+/// with ResolveItemScores). Results are ordered shortest-first, then by
+/// score.
 std::vector<Rule> FindLowerBounds(const DiscreteDataset& data,
                                   const RuleGroup& group,
                                   const std::vector<double>& item_scores,
@@ -48,6 +50,12 @@ std::vector<Rule> FindAllLowerBounds(const DiscreteDataset& data,
 /// information gain of the item-presence split against the class labels.
 /// Used when no continuous gene values (entropy scores) are available.
 std::vector<double> ItemScoresFromDiscrete(const DiscreteDataset& data);
+
+/// The FindLB item ranking: `supplied` when non-empty, else
+/// ItemScoresFromDiscrete(data) stored in *computed.
+const std::vector<double>& ResolveItemScores(const DiscreteDataset& data,
+                                             const std::vector<double>& supplied,
+                                             std::vector<double>* computed);
 
 }  // namespace topkrgs
 

@@ -64,6 +64,11 @@ RcbtClassifier RcbtClassifier::Train(const DiscreteDataset& train,
 
   FindLbOptions lopt;
   lopt.num_lower_bounds = options.nl;
+  std::vector<double> computed_scores;
+  const std::vector<double>& item_scores =
+      ResolveItemScores(train, options.item_scores, &computed_scores);
+  std::vector<Bitset> class_rows(train.num_classes(), Bitset(train.num_rows()));
+  for (RowId r = 0; r < train.num_rows(); ++r) class_rows[train.label(r)].Set(r);
 
   bool default_set = false;
   for (uint32_t j = 1; j <= options.k; ++j) {
@@ -72,7 +77,7 @@ RcbtClassifier RcbtClassifier::Train(const DiscreteDataset& train,
     for (uint32_t cls = 0; cls < train.num_classes(); ++cls) {
       for (const RuleGroupPtr& group : mined[cls].GroupsAtRank(j)) {
         std::vector<Rule> lbs =
-            FindLowerBounds(train, *group, options.item_scores, lopt);
+            FindLowerBounds(train, *group, item_scores, lopt);
         for (Rule& lb : lbs) rules.push_back(std::move(lb));
       }
     }
@@ -87,17 +92,15 @@ RcbtClassifier RcbtClassifier::Train(const DiscreteDataset& train,
     // per group) only makes sense if the covering lists survive selection.
     SortRulesByPrecedence(&rules);
     SubClassifier sub;
-    std::vector<uint32_t> covered_correctly(train.num_rows(), 0);
+    Bitset covered_correctly(train.num_rows());
     for (Rule& rule : rules) {
-      bool correct = false;
-      for (RowId r = 0; r < train.num_rows(); ++r) {
-        if (train.label(r) == rule.consequent &&
-            rule.antecedent.IsSubsetOf(train.row_bitset(r))) {
-          correct = true;
-          covered_correctly[r] = 1;
-        }
-      }
-      if (correct) sub.rules.push_back(std::move(rule));
+      // The rows a rule classifies correctly: its antecedent's support set
+      // within its consequent class.
+      Bitset correct = train.ItemSupportSet(rule.antecedent);
+      correct.IntersectWith(class_rows[rule.consequent]);
+      if (correct.None()) continue;
+      covered_correctly.UnionWith(correct);
+      sub.rules.push_back(std::move(rule));
     }
     sub.score_norm.assign(train.num_classes(), 0.0);
     for (const Rule& rule : sub.rules) {
@@ -109,7 +112,7 @@ RcbtClassifier RcbtClassifier::Train(const DiscreteDataset& train,
       std::vector<uint32_t> uncovered(train.num_classes(), 0);
       bool any_uncovered = false;
       for (RowId r = 0; r < train.num_rows(); ++r) {
-        if (!covered_correctly[r]) {
+        if (!covered_correctly.Test(r)) {
           ++uncovered[train.label(r)];
           any_uncovered = true;
         }
